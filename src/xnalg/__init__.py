@@ -72,6 +72,7 @@ from .cohomology import (
     cohomology_dims,
     expected_hh_dim,
     hh_profile,
+    hh_reports,
     is_inner,
     laurent_act,
     nil_chain_check,

@@ -18,8 +18,7 @@ from fractions import Fraction
 
 from .cohomology import (
     bracket_table,
-    cohomology_dims,
-    hh_profile,
+    hh_reports,
     is_inner,
     nil_chain_check,
     residue_inner_test,
@@ -50,6 +49,11 @@ class ParseError(ValueError):
 #   atom   := rational | 'x' | 'y' | '(' expr ')'
 #
 # No implicit multiplication; rational literals are "p" or "p/q".
+
+# Deepest parenthesis nesting an expression may use.  Parsing and evaluation
+# recurse a few frames per level, so deeper input is refused as a precondition
+# violation (exit 2) well before the interpreter's recursion limit.
+MAX_NESTING = 100
 
 
 def _tokenize(src):
@@ -89,6 +93,7 @@ class _Parser:
     def __init__(self, src, ctx):
         self.tokens = _tokenize(src)
         self.k = 0
+        self.depth = 0
         self.ctx = ctx
 
     def peek(self):
@@ -166,8 +171,14 @@ class _Parser:
             return (tok[1],)
         if tok[0] == "(":
             self.take()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ValueError(
+                    f"position {tok[2]}: parentheses nest deeper than {MAX_NESTING} levels"
+                )
             inner = self.expr()
             self.take(")")
+            self.depth -= 1
             return ("paren", inner)
         raise ParseError(tok[2], f"expected an atom, found {tok[1]!r}")
 
@@ -228,8 +239,7 @@ class _CliParser(argparse.ArgumentParser):
 
 
 def _ctx_from(ns) -> AlgebraCtx:
-    order = getattr(ns, "field_order", 1) or 1
-    return AlgebraCtx(ns.N, getattr(ns, "localized", False), CycloField(order))
+    return AlgebraCtx(ns.N, getattr(ns, "localized", False), CycloField(ns.field_order))
 
 
 def _read_json_input(ns):
@@ -280,25 +290,20 @@ def _cmd_laguerre_check(ns):
 def _cmd_hh(ns):
     ctx = _ctx_from(ns)
     omega = None
-    if ns.twist_order:
+    if ns.twist_order is not None:
         fld = CycloField(ns.twist_order)
         ctx = AlgebraCtx(ns.N, False, fld)
         omega = fld.zeta
-    if ns.p is None:
-        reports = [cohomology_dims(ctx, p, ns.lo, ns.hi, omega) for p in (0, 1, 2)]
-        payload = [r.to_json() for r in reports]
-        text = "\n".join(
-            f"HH^{r.p} degrees [{r.lo}..{r.hi}]: {r.computed} "
-            f"(expected {r.expected}, match={r.match})"
-            for r in reports
-        )
-        return payload, text
-    report = cohomology_dims(ctx, ns.p, ns.lo, ns.hi, omega)
-    text = (
-        f"HH^{report.p} degrees [{report.lo}..{report.hi}]: {report.computed} "
-        f"(expected {report.expected}, match={report.match})"
+    reports = hh_reports(ctx, ns.lo, ns.hi, omega)
+    if ns.p is not None:
+        reports = reports[ns.p : ns.p + 1]
+    payload = [r.to_json() for r in reports]
+    text = "\n".join(
+        f"HH^{r.p} degrees [{r.lo}..{r.hi}]: {r.computed} "
+        f"(expected {r.expected}, match={r.match})"
+        for r in reports
     )
-    return report.to_json(), text
+    return (payload if ns.p is None else payload[0]), text
 
 
 def _cmd_bracket(ns):
@@ -413,7 +418,6 @@ def _build_parser():
             p.add_argument("--from", dest="lo", type=int, required=True)
             p.add_argument("--to", dest="hi", type=int, required=True)
         p.add_argument("--json", action="store_true")
-        p.add_argument("--pretty", action="store_true")
 
     p = sub.add_parser("norm", help="normal form of an expression")
     p.add_argument("expr")
@@ -423,7 +427,6 @@ def _build_parser():
     p = sub.add_parser("cseq", help="the j-th polynomial of the c-family")
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--pretty", action="store_true")
     p.set_defaults(handler=_cmd_cseq)
 
     for name, handler, blurb in (
@@ -433,7 +436,6 @@ def _build_parser():
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--json", action="store_true")
-        p.add_argument("--pretty", action="store_true")
         p.set_defaults(handler=handler)
 
     p = sub.add_parser("phi", help="the degree-j(N-1) element with bracket x^N y^{j-1}")
@@ -506,6 +508,8 @@ def run_command(argv) -> CommandResult:
     except _UsageError as exc:
         return CommandResult(1, {"error": str(exc)}, f"usage error: {exc}")
     try:
+        if hasattr(ns, "lo") and ns.lo > ns.hi:
+            raise ValueError(f"empty degree window: --from {ns.lo} is above --to {ns.hi}")
         payload, text = ns.handler(ns)
     except _UsageError as exc:
         return CommandResult(1, {"error": str(exc)}, f"usage error: {exc}")

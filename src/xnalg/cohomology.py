@@ -28,25 +28,39 @@ from .maps import (
     grading_derivation,
     partial_l,
     restrict_to_algebra,
-    _scalar_pow,
-    _scalar_inv,
 )
 from .ncalg import AlgebraCtx, Element, basis_of_degree
 from .scalars import CycloField, scalar_to_json
 from .sequences import gaussian_binomial
 
 
-def _vec(elt: Element, index: dict):
-    """Coefficient vector of an element over an indexed monomial basis."""
-    zero = elt.ctx.field.zero
-    out = [zero] * len(index)
-    for key, c in elt.terms.items():
-        out[index[key]] = c
-    return out
+def _matrix(columns, bases, zero):
+    """Dense rows of the matrix whose k-th column stacks the coefficient
+    vectors of the elements columns[k][b] over the monomial bases[b], the
+    rows of bases[0] on top."""
+    row_of, nrows = [], 0
+    for basis in bases:
+        row_of.append({mono: nrows + r for r, mono in enumerate(basis)})
+        nrows += len(basis)
+    rows = [[zero] * len(columns) for _ in range(nrows)]
+    for col, elts in enumerate(columns):
+        for block, elt in zip(row_of, elts):
+            for key, c in elt.terms.items():
+                rows[block[key]][col] = c
+    return rows
 
 
-def _indexed(basis):
-    return {mono: k for k, mono in enumerate(basis)}
+def _solve_in_span(target, columns, field):
+    """Coefficients writing the element tuple `target` as a combination of
+    the element tuples `columns`, free coordinates pinned to zero; None when
+    `target` is outside their span.  Rows run over the monomials that occur."""
+    bases = [
+        sorted({key for elts in (target, *columns) for key in elts[b].terms})
+        for b in range(len(target))
+    ]
+    rows = _matrix([*columns, target], bases, field.zero)
+    rhs = [row.pop() for row in rows]
+    return linalg.solve(rows, rhs, len(columns), field)
 
 
 @dataclass
@@ -90,47 +104,38 @@ def build_slice(ctx: AlgebraCtx, l: int, omega=None) -> ComplexSlice:
     N = ctx.N
     fld = ctx.field
     omega = None if omega is None else ctx.coerce(omega)
-    w_pow = (
-        [fld.one] * N
-        if omega is None
-        else [_scalar_pow(omega, s) for s in range(N)]
-    )
+    w_pow = [fld.one] * N if omega is None else [omega ** s for s in range(N)]
     w = fld.one if omega is None else omega
-    w_n1 = fld.one if omega is None else _scalar_pow(omega, N - 1)
+    w_n1 = fld.one if omega is None else omega ** (N - 1)
 
     basis0 = basis_of_degree(ctx, l)
     basis1x = basis_of_degree(ctx, l + 1)
     basis1y = basis_of_degree(ctx, l + N - 1)
     basis2 = basis_of_degree(ctx, l + N)
-    idx1x, idx1y, idx2 = _indexed(basis1x), _indexed(basis1y), _indexed(basis2)
 
     x_elt, y_elt = ctx.x(), ctx.y()
 
-    d0 = [[fld.zero] * len(basis0) for _ in range(len(basis1x) + len(basis1y))]
-    for col, mono in enumerate(basis0):
+    d0_columns = []
+    for mono in basis0:
         a = ctx.monomial(*mono)
-        vx = w * (x_elt * a) - a * x_elt
-        vy = w_n1 * (y_elt * a) - a * y_elt
-        for key, c in vx.terms.items():
-            d0[idx1x[key]][col] = c
-        for key, c in vy.terms.items():
-            d0[len(basis1x) + idx1y[key]][col] = c
+        d0_columns.append(
+            (w * (x_elt * a) - a * x_elt, w_n1 * (y_elt * a) - a * y_elt)
+        )
+    d0 = _matrix(d0_columns, [basis1x, basis1y], fld.zero)
 
-    ncols1 = len(basis1x) + len(basis1y)
-    d1 = [[fld.zero] * ncols1 for _ in range(len(basis2))]
-    for col, mono in enumerate(basis1x):
+    d1_columns = []
+    for mono in basis1x:
         b = ctx.monomial(*mono)
         value = w_n1 * (y_elt * b) - b * y_elt
         for s in range(N):
             value = value - w_pow[s] * (ctx.x(s) * b * ctx.x(N - 1 - s))
-        for key, c in value.terms.items():
-            d1[idx2[key]][col] = c
-    for col, mono in enumerate(basis1y):
+        d1_columns.append((value,))
+    for mono in basis1y:
         c_elt = ctx.monomial(*mono)
-        value = c_elt * x_elt - w * (x_elt * c_elt)
-        for key, c in value.terms.items():
-            d1[idx2[key]][len(basis1x) + col] = c
+        d1_columns.append((c_elt * x_elt - w * (x_elt * c_elt),))
+    d1 = _matrix(d1_columns, [basis2], fld.zero)
 
+    ncols1 = len(d1_columns)
     for col in range(len(basis0)):
         for row in range(len(basis2)):
             acc = fld.zero
@@ -219,34 +224,45 @@ def hh_profile(ctx: AlgebraCtx, lo: int, hi: int, omega=None):
     return rows, euler
 
 
-def cohomology_dims(ctx: AlgebraCtx, p: int, lo: int, hi: int, omega=None) -> DimsReport:
-    """Exact kernel/rank dimensions of HH^p per degree, against the closed
-    Hilbert-series values; mismatches are reported, never reconciled."""
-    if p not in (0, 1, 2):
-        raise ValueError("p must be 0, 1 or 2")
+def hh_reports(ctx: AlgebraCtx, lo: int, hi: int, omega=None) -> list:
+    """The reports for HH^0, HH^1 and HH^2 over a window, from one profile:
+    exact kernel/rank dimensions per degree against the closed Hilbert-series
+    values; mismatches are reported, never reconciled."""
     branch = None
     twist_order = None
     if omega is not None:
         omega = ctx.coerce(omega)
-        branch = _scalar_pow(omega, ctx.N - 1) == ctx.field.one
+        branch = omega ** (ctx.N - 1) == ctx.field.one
         twist_order = getattr(ctx.field, "order", None)
     rows, euler = hh_profile(ctx, lo, hi, omega)
-    computed = rows[p]
-    expected = [expected_hh_dim(ctx.N, p, l, branch) for l in range(lo, hi + 1)]
-    euler_expected = [1 if l == -ctx.N else 0 for l in range(lo, hi + 1)]
-    return DimsReport(
-        N=ctx.N,
-        p=p,
-        lo=lo,
-        hi=hi,
-        twist_order=twist_order,
-        computed=computed,
-        expected=expected,
-        match=computed == expected,
-        euler_computed=euler,
-        euler_expected=euler_expected,
-        euler_match=euler == euler_expected,
-    )
+    degrees = range(lo, hi + 1)
+    euler_expected = [1 if l == -ctx.N else 0 for l in degrees]
+    reports = []
+    for p in (0, 1, 2):
+        expected = [expected_hh_dim(ctx.N, p, l, branch) for l in degrees]
+        reports.append(
+            DimsReport(
+                N=ctx.N,
+                p=p,
+                lo=lo,
+                hi=hi,
+                twist_order=twist_order,
+                computed=rows[p],
+                expected=expected,
+                match=rows[p] == expected,
+                euler_computed=list(euler),
+                euler_expected=list(euler_expected),
+                euler_match=euler == euler_expected,
+            )
+        )
+    return reports
+
+
+def cohomology_dims(ctx: AlgebraCtx, p: int, lo: int, hi: int, omega=None) -> DimsReport:
+    """The HH^p report of :func:`hh_reports`."""
+    if p not in (0, 1, 2):
+        raise ValueError("p must be 0, 1 or 2")
+    return hh_reports(ctx, lo, hi, omega)[p]
 
 
 def is_inner(d: GenDerivation, i_min=None):
@@ -268,24 +284,7 @@ def is_inner(d: GenDerivation, i_min=None):
     for mono in candidates:
         w = ad_phi(ctx.monomial(*mono), d.twist)
         columns.append((w.dx, w.dy))
-    keys_x = sorted(set(d.dx.terms) | {k for cx, _ in columns for k in cx.terms})
-    keys_y = sorted(set(d.dy.terms) | {k for _, cy in columns for k in cy.terms})
-    index_x = {k: r for r, k in enumerate(keys_x)}
-    index_y = {k: r for r, k in enumerate(keys_y)}
-    nrows = len(keys_x) + len(keys_y)
-    zero = ctx.field.zero
-    rows = [[zero] * len(candidates) for _ in range(nrows)]
-    for col, (cx, cy) in enumerate(columns):
-        for key, c in cx.terms.items():
-            rows[index_x[key]][col] = c
-        for key, c in cy.terms.items():
-            rows[len(keys_x) + index_y[key]][col] = c
-    rhs = [zero] * nrows
-    for key, c in d.dx.terms.items():
-        rhs[index_x[key]] = c
-    for key, c in d.dy.terms.items():
-        rhs[len(keys_x) + index_y[key]] = c
-    sol = linalg.solve(rows, rhs, len(candidates), ctx.field)
+    sol = _solve_in_span((d.dx, d.dy), columns, ctx.field)
     if sol is None:
         return None
     witness = Element(ctx, {mono: c for mono, c in zip(candidates, sol) if c})
@@ -413,26 +412,7 @@ def bracket_table(ctx: AlgebraCtx, l: int, m: int) -> BracketResult:
     for mono in candidates:
         w = ad_phi(ctx.monomial(*mono))
         columns.append((w.dx, w.dy))
-
-    keys_x = sorted(set(b.dx.terms) | {k for cx, _ in columns for k in cx.terms})
-    keys_y = sorted(set(b.dy.terms) | {k for _, cy in columns for k in cy.terms})
-    index_x = {k: r for r, k in enumerate(keys_x)}
-    index_y = {k: r for r, k in enumerate(keys_y)}
-    zero = ctx.field.zero
-    nrows = len(keys_x) + len(keys_y)
-    ncols = len(columns)
-    rows = [[zero] * ncols for _ in range(nrows)]
-    for col, (cx, cy) in enumerate(columns):
-        for key, c in cx.terms.items():
-            rows[index_x[key]][col] = c
-        for key, c in cy.terms.items():
-            rows[len(keys_x) + index_y[key]][col] = c
-    rhs = [zero] * nrows
-    for key, c in b.dx.terms.items():
-        rhs[index_x[key]] = c
-    for key, c in b.dy.terms.items():
-        rhs[len(keys_x) + index_y[key]] = c
-    sol = linalg.solve(rows, rhs, ncols, ctx.field)
+    sol = _solve_in_span((b.dx, b.dy), columns, ctx.field)
 
     expected = expected_partial_bracket(N, l, m)
     l_expected = expected_l_bracket(N, l, m)
@@ -442,7 +422,7 @@ def bracket_table(ctx: AlgebraCtx, l: int, m: int) -> BracketResult:
         )
 
     offset = len(unknown_reps)
-    coeff = sol[0] if offset >= 1 else zero
+    coeff = sol[0] if offset >= 1 else ctx.field.zero
     center = sol[1] if offset == 2 else None
     witness = Element(
         ctx, {mono: c for mono, c in zip(candidates, sol[offset:]) if c}
@@ -461,7 +441,7 @@ def bracket_table(ctx: AlgebraCtx, l: int, m: int) -> BracketResult:
     if n >= -N + 1:
         l_computed = _l_scale(N, l) * _l_scale(N, m) * coeff / _l_scale(N, n)
     else:
-        l_computed = zero
+        l_computed = ctx.field.zero
     l_match = l_computed == l_expected
     return BracketResult(
         N, l, m, n, coeff, center, witness, expected, match, l_computed, l_expected, l_match
@@ -590,7 +570,7 @@ def taft_obstruction(N: int, n: int, max_degree: int = 6) -> TaftReport:
     ctx = AlgebraCtx(N, False, fld)
     loc = ctx.localize()
     twist = Automorphism.diagonal(ctx, omega)
-    lam = _scalar_inv(omega)
+    lam = 1 / omega
     vanishing = all(
         gaussian_binomial(n, i, at=omega) == 0 and gaussian_binomial(n, i, at=lam) == 0
         for i in range(1, n)

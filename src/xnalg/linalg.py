@@ -25,7 +25,7 @@ def _rref(rows, ncols):
         if pivot is None:
             continue
         mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = (mat[row][col] ** 0) / mat[row][col]
+        inv = 1 / mat[row][col]
         mat[row] = [c * inv for c in mat[row]]
         for r in range(len(mat)):
             if r != row and mat[r][col]:

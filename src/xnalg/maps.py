@@ -12,7 +12,6 @@ usable only after the defining relation has been checked to map to zero.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .ncalg import AlgebraCtx, CtxMismatchError, Element, phi_element
 from .scalars import SchemaError, scalar_from_json, scalar_to_json
@@ -21,14 +20,6 @@ from .scalars import SchemaError, scalar_from_json, scalar_to_json
 class IllDefinedDerivationError(ValueError):
     """A generator assignment that does not kill the defining relation was
     used as a derivation."""
-
-
-def _scalar_inv(c):
-    return (c ** 0) / c
-
-
-def _scalar_pow(c, k: int):
-    return c ** k if k >= 0 else _scalar_inv(c) ** (-k)
 
 
 def decompose_degree(l: int, N: int):
@@ -94,7 +85,7 @@ class Automorphism:
         return self.ctx.monomial(1, 0, self.lam)
 
     def y_image(self) -> Element:
-        img = self.ctx.monomial(0, 1, _scalar_pow(self.lam, self.ctx.N - 1))
+        img = self.ctx.monomial(0, 1, self.lam ** (self.ctx.N - 1))
         return img + self.f_element()
 
     def apply(self, a: Element) -> Element:
@@ -111,7 +102,7 @@ class Automorphism:
         for (i, j), c in a.terms.items():
             while len(ypow) <= j:
                 ypow.append(ypow[-1] * y_img)
-            out = out + (c * _scalar_pow(self.lam, i)) * (ctx.monomial(i, 0) * ypow[j])
+            out = out + (c * self.lam ** i) * (ctx.monomial(i, 0) * ypow[j])
         return out
 
     def compose(self, other: "Automorphism") -> "Automorphism":
@@ -121,7 +112,7 @@ class Automorphism:
             raise CtxMismatchError(f"{other.ctx!r} vs {self.ctx!r}")
         lam, f = self.lam, self.f
         mu, g = other.lam, other.f
-        n1 = _scalar_pow(mu, self.ctx.N - 1)
+        n1 = mu ** (self.ctx.N - 1)
         size = max(len(f), len(g))
         coeffs = []
         for d in range(size):
@@ -129,14 +120,14 @@ class Automorphism:
             if d < len(f):
                 c = c + n1 * f[d]
             if d < len(g):
-                c = c + g[d] * _scalar_pow(lam, d)
+                c = c + g[d] * lam ** d
             coeffs.append(c)
         return Automorphism(self.ctx, lam * mu, coeffs)
 
     def inverse(self) -> "Automorphism":
-        mu = _scalar_inv(self.lam)
-        mu_n1 = _scalar_pow(mu, self.ctx.N - 1)
-        coeffs = [-mu_n1 * c * _scalar_pow(mu, d) for d, c in enumerate(self.f)]
+        mu = 1 / self.lam
+        mu_n1 = mu ** (self.ctx.N - 1)
+        coeffs = [-mu_n1 * c * mu ** d for d, c in enumerate(self.f)]
         return Automorphism(self.ctx, mu, coeffs)
 
     def order(self, bound: int):
@@ -264,7 +255,7 @@ class GenDerivation:
             value = self.dy * ctx.x() + phi_y * self.dx
             value = value - self.dx * ctx.y() - lam * (ctx.x() * self.dy)
             for s in range(ctx.N):
-                value = value - _scalar_pow(lam, s) * (ctx.x(s) * self.dx * ctx.x(ctx.N - 1 - s))
+                value = value - lam ** s * (ctx.x(s) * self.dx * ctx.x(ctx.N - 1 - s))
             self._well_defined = not value
         return self._well_defined
 
@@ -290,13 +281,13 @@ class GenDerivation:
             part = ctx.zero()
             if i > 0:
                 for s in range(i):
-                    part = part + _scalar_pow(lam, s) * (
+                    part = part + lam ** s * (
                         ctx.x(s) * self.dx * ctx.monomial(i - 1 - s, j)
                     )
             elif i < 0:
-                d_xinv = (-_scalar_inv(lam)) * (ctx.x(-1) * self.dx * ctx.x(-1))
+                d_xinv = (-1 / lam) * (ctx.x(-1) * self.dx * ctx.x(-1))
                 for s in range(-i):
-                    part = part + _scalar_pow(lam, -s) * (
+                    part = part + lam ** (-s) * (
                         ctx.x(-s) * d_xinv * ctx.monomial(i + 1 + s, j)
                     )
             if j > 0:
@@ -307,7 +298,7 @@ class GenDerivation:
                 inner = ctx.zero()
                 for s in range(j):
                     inner = inner + phi_ypow[s] * self.dy * ctx.y(j - 1 - s)
-                part = part + _scalar_pow(lam, i) * (ctx.x(i) * inner)
+                part = part + lam ** i * (ctx.x(i) * inner)
             out = out + c * part
         return out
 
@@ -494,13 +485,13 @@ def conjugator_to_diagonal(aut: Automorphism, order: int) -> Automorphism | None
     (exponent congruent to N-1 modulo the order).
     """
     ctx = aut.ctx
-    lam_n1 = _scalar_pow(aut.lam, ctx.N - 1)
+    lam_n1 = aut.lam ** (ctx.N - 1)
     h = []
     for dgr, c in enumerate(aut.f):
         if not c:
             h.append(ctx.field.zero)
             continue
-        denom = lam_n1 - _scalar_pow(aut.lam, dgr)
+        denom = lam_n1 - aut.lam ** dgr
         if not denom:
             return None
         h.append(-c / denom)

@@ -10,7 +10,6 @@ all operations are pure.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 
@@ -147,8 +146,10 @@ class QPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("polynomial powers take a non-negative integer")
+        if not isinstance(k, int):
+            raise ValueError("polynomial powers take an integer exponent")
+        if k < 0:
+            return (1 / self) ** -k
         result = QPoly.one()
         base = self
         while k:
@@ -194,6 +195,10 @@ class QPoly:
                 raise ValueError("inexact polynomial division")
             return quo
         return NotImplemented
+
+    def __rtruediv__(self, other):
+        other = QPoly._coerce(other)
+        return NotImplemented if other is None else other / self
 
     def deriv(self):
         return QPoly(tuple(k * c for k, c in enumerate(self.coeffs) if k))

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from xnalg import cohomology
 from xnalg.cli import CommandResult, ParseError, eval_expr, parse_expr, run_command
 from xnalg.maps import partial_l
 from xnalg.ncalg import AlgebraCtx, Element, render_element
@@ -195,11 +196,37 @@ def test_cli_exit_codes():
     # precondition violations exit 2
     assert run_command(["hh", "--N", "1", "--p", "1", "--from", "0", "--to", "2"]).status == 2
     assert run_command(["phi", "--j", "0", "--N", "3"]).status == 2
+    assert run_command(["hh", "--N", "3", "--twist-order", "0", "--from", "0", "--to", "2"]).status == 2
+    assert run_command(["norm", "x", "--N", "2", "--field-order", "0"]).status == 2
+    for argv in (["hh", "--N", "3"], ["nil", "--N", "4", "--r", "1", "--s", "1"],
+                 ["veronese", "--N", "4", "--m", "3"]):
+        assert run_command(argv + ["--from", "5", "--to", "2"]).status == 2
+    # the expression nesting budget: at the limit fine, far beyond it exit 2
+    assert run_command(["norm", "(" * 100 + "x" + ")" * 100, "--N", "2"]).status == 0
+    assert run_command(["norm", "(" * 3000 + "x" + ")" * 3000, "--N", "2"]).status == 2
     # malformed input documents exit 1
     bad = json.dumps({"N": 2, "localized": False,
                       "terms": [{"xexp": 0, "yexp": 0, "coeff": "1/0"}]})
     result = run_command(["inner", "--file", "/nonexistent/never.json"])
     assert result.status == 2
+
+
+def test_cli_hh_builds_each_slice_once(monkeypatch):
+    built = []
+    real = cohomology.build_slice
+
+    def counting(ctx, l, omega=None):
+        built.append(l)
+        return real(ctx, l, omega)
+
+    monkeypatch.setattr(cohomology, "build_slice", counting)
+    window = ["--N", "3", "--from", "-3", "--to", "4", "--json"]
+    result = run_command(["hh"] + window)
+    assert result.status == 0
+    assert sorted(built) == list(range(-3, 5))
+    assert len(result.payload) == 3
+    for p, entry in enumerate(result.payload):
+        assert entry == run_command(["hh", "--p", str(p)] + window).payload
 
 
 def test_cli_schema_error(tmp_path):

@@ -180,6 +180,7 @@ def test_exp_lnd_symbolic_parameter():
                 acc = acc + term / math.factorial(k)
                 k += 1
             assert acc == aut.apply(gen)
+        assert aut.compose(aut.inverse()).is_identity()
 
 
 def test_grading_derivation_eigenvalues():

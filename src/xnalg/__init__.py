@@ -7,15 +7,12 @@ from .scalars import (
     CycloField,
     CycloScalar,
     FieldMismatchError,
-    MPoly,
     PolyRing,
     QPoly,
     SchemaError,
-    TruncSeries,
     cyclo_primitive_root,
     cyclotomic_polynomial,
     euler_phi,
-    series_from_coeff_rule,
 )
 from .sequences import (
     bernoulli,
@@ -57,6 +54,7 @@ from .maps import (
     grading_derivation,
     is_locally_ad_nilpotent,
     partial_l,
+    relation_residual,
     restrict_to_algebra,
     sigma,
 )

@@ -239,7 +239,9 @@ class _CliParser(argparse.ArgumentParser):
 
 
 def _ctx_from(ns) -> AlgebraCtx:
-    return AlgebraCtx(ns.N, getattr(ns, "localized", False), CycloField(ns.field_order))
+    order = getattr(ns, "field_order", None)
+    field = CycloField(1 if order is None else order)
+    return AlgebraCtx(ns.N, getattr(ns, "localized", False), field)
 
 
 def _read_json_input(ns):
@@ -288,12 +290,11 @@ def _cmd_laguerre_check(ns):
 
 
 def _cmd_hh(ns):
-    ctx = _ctx_from(ns)
-    omega = None
-    if ns.twist_order is not None:
-        fld = CycloField(ns.twist_order)
-        ctx = AlgebraCtx(ns.N, False, fld)
-        omega = fld.zeta
+    if ns.twist_order is None:
+        ctx, omega = _ctx_from(ns), None
+    else:
+        ctx = AlgebraCtx(ns.N, False, CycloField(ns.twist_order))
+        omega = ctx.field.zeta
     reports = hh_reports(ctx, ns.lo, ns.hi, omega)
     if ns.p is not None:
         reports = reports[ns.p : ns.p + 1]
@@ -409,9 +410,13 @@ def _build_parser():
     parser = _CliParser(prog="xnalg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, n_required=True, window=False, localized=True):
-        p.add_argument("--N", type=int, required=n_required, help="relation exponent")
-        p.add_argument("--field-order", type=int, default=1, dest="field_order")
+    def field_order(p):
+        p.add_argument("--field-order", type=int, default=None, dest="field_order")
+
+    def common(p, window=False, localized=True, field=True):
+        p.add_argument("--N", type=int, required=True, help="relation exponent")
+        if field:
+            field_order(p)
         if localized:
             p.add_argument("--localized", action="store_true")
         if window:
@@ -451,8 +456,10 @@ def _build_parser():
 
     p = sub.add_parser("hh", help="cohomology dimensions over a degree window")
     p.add_argument("--p", type=int, choices=(0, 1, 2), default=None)
-    p.add_argument("--twist-order", type=int, default=None, dest="twist_order")
-    common(p, window=True, localized=False)
+    scalars = p.add_mutually_exclusive_group()
+    field_order(scalars)
+    scalars.add_argument("--twist-order", type=int, default=None, dest="twist_order")
+    common(p, window=True, localized=False, field=False)
     p.set_defaults(handler=_cmd_hh)
 
     p = sub.add_parser("bracket", help="bracket table entry with witness")
@@ -464,18 +471,18 @@ def _build_parser():
     p = sub.add_parser("inner", help="innerness decision with witness (derivation JSON on stdin or --file)")
     p.add_argument("--file", default=None)
     p.add_argument("--i-min", dest="i_min", type=int, default=None)
-    common(p, n_required=False, localized=False)
+    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_inner)
 
     p = sub.add_parser("residue", help="residue obstruction to localized innerness")
     p.add_argument("--file", default=None)
-    common(p, n_required=False, localized=False)
+    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_residue)
 
     p = sub.add_parser("taft", help="obstruction to inner-faithful Taft actions")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--max-degree", dest="max_degree", type=int, default=6)
-    common(p, localized=False)
+    common(p, localized=False, field=False)
     p.set_defaults(handler=_cmd_taft)
 
     p = sub.add_parser("aut", help="automorphism group operations")
@@ -489,7 +496,7 @@ def _build_parser():
 
     p = sub.add_parser("veronese", help="fixed monomials of the diagonal order-m automorphism")
     p.add_argument("--m", type=int, required=True)
-    common(p, window=True, localized=False)
+    common(p, window=True, localized=False, field=False)
     p.set_defaults(handler=_cmd_veronese)
 
     p = sub.add_parser("nil", help="nilpotent chain containment on a window")

@@ -27,6 +27,7 @@ from .maps import (
     decompose_degree,
     grading_derivation,
     partial_l,
+    relation_residual,
     restrict_to_algebra,
 )
 from .ncalg import AlgebraCtx, Element, basis_of_degree
@@ -66,7 +67,9 @@ def _solve_in_span(target, columns, field):
 @dataclass
 class ComplexSlice:
     """The degree-l slice of the three-term complex, with exact matrices of
-    both differentials (columns indexed by the domain bases)."""
+    both differentials (columns indexed by the domain bases).  d0 sends a to
+    ad_phi(a) = (a x - phi(x) a, a y - phi(y) a), the negative of the other
+    usual sign; image, kernel and ranks are the same under either sign."""
 
     ctx: AlgebraCtx
     l: int
@@ -101,47 +104,29 @@ def build_slice(ctx: AlgebraCtx, l: int, omega=None) -> ComplexSlice:
         raise ValueError("degreewise cohomology needs N >= 2")
     if ctx.localized:
         raise ValueError("slices are built over the unlocalized algebra")
-    N = ctx.N
-    fld = ctx.field
     omega = None if omega is None else ctx.coerce(omega)
-    w_pow = [fld.one] * N if omega is None else [omega ** s for s in range(N)]
-    w = fld.one if omega is None else omega
-    w_n1 = fld.one if omega is None else omega ** (N - 1)
+    twist = None if omega is None else Automorphism.diagonal(ctx, omega)
 
     basis0 = basis_of_degree(ctx, l)
     basis1x = basis_of_degree(ctx, l + 1)
-    basis1y = basis_of_degree(ctx, l + N - 1)
-    basis2 = basis_of_degree(ctx, l + N)
-
-    x_elt, y_elt = ctx.x(), ctx.y()
+    basis1y = basis_of_degree(ctx, l + ctx.N - 1)
+    basis2 = basis_of_degree(ctx, l + ctx.N)
+    zero = ctx.zero()
 
     d0_columns = []
     for mono in basis0:
-        a = ctx.monomial(*mono)
-        d0_columns.append(
-            (w * (x_elt * a) - a * x_elt, w_n1 * (y_elt * a) - a * y_elt)
-        )
-    d0 = _matrix(d0_columns, [basis1x, basis1y], fld.zero)
+        d = ad_phi(ctx.monomial(*mono), twist)
+        d0_columns.append((d.dx, d.dy))
+    d0 = _matrix(d0_columns, [basis1x, basis1y], ctx.field.zero)
 
-    d1_columns = []
-    for mono in basis1x:
-        b = ctx.monomial(*mono)
-        value = w_n1 * (y_elt * b) - b * y_elt
-        for s in range(N):
-            value = value - w_pow[s] * (ctx.x(s) * b * ctx.x(N - 1 - s))
-        d1_columns.append((value,))
-    for mono in basis1y:
-        c_elt = ctx.monomial(*mono)
-        d1_columns.append((c_elt * x_elt - w * (x_elt * c_elt),))
-    d1 = _matrix(d1_columns, [basis2], fld.zero)
+    d1_columns = [(relation_residual(ctx.monomial(*m), zero, twist),) for m in basis1x]
+    d1_columns += [(relation_residual(zero, ctx.monomial(*m), twist),) for m in basis1y]
+    d1 = _matrix(d1_columns, [basis2], ctx.field.zero)
 
-    ncols1 = len(d1_columns)
     for col in range(len(basis0)):
-        for row in range(len(basis2)):
-            acc = fld.zero
-            for k in range(ncols1):
-                acc = acc + d1[row][k] * d0[k][col]
-            if acc:
+        entries = [(k, row[col]) for k, row in enumerate(d0) if row[col]]
+        for row in d1:
+            if sum((row[k] * c for k, c in entries), ctx.field.zero):
                 raise AssertionError("the slice differentials do not compose to zero")
 
     return ComplexSlice(ctx, l, omega, basis0, basis1x, basis1y, basis2, d0, d1)
@@ -736,6 +721,8 @@ def nil_chain_check(ctx: AlgebraCtx, r: int, s: int, lo: int, hi: int) -> NilRep
     if N < 3:
         raise ValueError("the nilpotent chain is trivial below N = 3")
     lo = max(lo, -N + 1)
+    if lo > hi:
+        raise ValueError(f"empty degree window: slots start at degree {-N + 1}, above {hi}")
     window = range(lo, hi + 1)
     rho = lambda k: k % (N - 1)
 

@@ -198,6 +198,29 @@ def exp_lnd(ctx: AlgebraCtx, g, t) -> Automorphism:
     return Automorphism(ctx, 1, [t * ctx.coerce(c) for c in g])
 
 
+def _twist_images(ctx: AlgebraCtx, twist: Automorphism | None):
+    """(lam, phi(y)) of the twist, or (1, y) without one; phi(y) is rebased
+    onto `ctx`, which may be the localization of the twist's context."""
+    if twist is None:
+        return ctx.field.one, ctx.y()
+    return twist.lam, Element(ctx, dict(twist.y_image().terms))
+
+
+def relation_residual(dx: Element, dy: Element, twist: Automorphism | None = None) -> Element:
+    """The image of yx - xy - x^N under the (twisted) Leibniz extension of
+    x -> dx, y -> dy; it vanishes exactly when the assignment is a derivation.
+    Linear in (dx, dy)."""
+    ctx = dx.ctx
+    lam, phi_y = _twist_images(ctx, twist)
+    x = ctx.x()
+    value = dy * x + phi_y * dx - dx * ctx.y() - lam * (x * dy)
+    lam_s = ctx.field.one
+    for s in range(ctx.N):
+        value = value - lam_s * (ctx.x(s) * dx * ctx.x(ctx.N - 1 - s))
+        lam_s = lam_s * lam
+    return value
+
+
 class GenDerivation:
     """A (possibly twisted) derivation determined by its generator images."""
 
@@ -234,15 +257,6 @@ class GenDerivation:
         tw = "" if self.twist is None else f", twist={self.twist!r}"
         return f"GenDerivation(dx={self.dx!r}, dy={self.dy!r}{tw})"
 
-    def _twist_lambda(self):
-        return self.ctx.field.one if self.twist is None else self.twist.lam
-
-    def _twist_y_image(self) -> Element:
-        if self.twist is None:
-            return self.ctx.y()
-        img = self.twist.y_image()
-        return Element(self.ctx, dict(img.terms))
-
     def is_twisted(self) -> bool:
         return self.twist is not None
 
@@ -250,13 +264,7 @@ class GenDerivation:
         """Whether the generator assignment kills yx - xy - x^N under the
         twisted Leibniz rule."""
         if self._well_defined is None:
-            ctx, lam = self.ctx, self._twist_lambda()
-            phi_y = self._twist_y_image()
-            value = self.dy * ctx.x() + phi_y * self.dx
-            value = value - self.dx * ctx.y() - lam * (ctx.x() * self.dy)
-            for s in range(ctx.N):
-                value = value - lam ** s * (ctx.x(s) * self.dx * ctx.x(ctx.N - 1 - s))
-            self._well_defined = not value
+            self._well_defined = not relation_residual(self.dx, self.dy, self.twist)
         return self._well_defined
 
     def _demand(self):
@@ -273,9 +281,8 @@ class GenDerivation:
         ctx = self.ctx
         if a.ctx != ctx:
             raise CtxMismatchError(f"{a.ctx!r} vs {ctx!r}")
-        lam = self._twist_lambda()
+        lam, phi_y = _twist_images(ctx, self.twist)
         phi_ypow = [ctx.one()]
-        phi_y = None
         out = ctx.zero()
         for (i, j), c in a.terms.items():
             part = ctx.zero()
@@ -291,8 +298,6 @@ class GenDerivation:
                         ctx.x(-s) * d_xinv * ctx.monomial(i + 1 + s, j)
                     )
             if j > 0:
-                if phi_y is None:
-                    phi_y = self._twist_y_image()
                 while len(phi_ypow) < j:
                     phi_ypow.append(phi_ypow[-1] * phi_y)
                 inner = ctx.zero()
@@ -389,14 +394,9 @@ def ad_phi(u: Element, twist: Automorphism | None = None) -> GenDerivation:
     """The inner twisted derivation a -> u a - phi(a) u, restricted to its
     generator images.  Always well defined."""
     ctx = u.ctx
-    if twist is None:
-        dx = u * ctx.x() - ctx.x() * u
-        dy = u * ctx.y() - ctx.y() * u
-    else:
-        phi_x = ctx.monomial(1, 0, twist.lam)
-        phi_y = Element(ctx, dict(twist.y_image().terms))
-        dx = u * ctx.x() - phi_x * u
-        dy = u * ctx.y() - phi_y * u
+    lam, phi_y = _twist_images(ctx, twist)
+    dx = u * ctx.x() - ctx.monomial(1, 0, lam) * u
+    dy = u * ctx.y() - phi_y * u
     d = GenDerivation(ctx, dx, dy, twist)
     d._well_defined = True
     return d

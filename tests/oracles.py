@@ -52,6 +52,42 @@ def monomial_word(i, j):
     return xs + ("y",) * j
 
 
+def brute_relation_residual(dx, dy, N, lam=Fraction(1), f=()):
+    """The image of yx - xy - x^N under the twisted Leibniz extension of
+    x -> dx, y -> dy with twist phi(x) = lam x, phi(y) = lam^{N-1} y + f(x).
+
+    dx and dy are dicts (i, j) -> coefficient over normal monomials.  Each
+    word w of the relation expands letter by letter into
+    sum_k phi(w[:k]) d(w[k]) w[k+1:] as words, which brute_normalize then
+    rewrites; the result is a dict like brute_normalize's.
+    """
+    phi = {
+        "x": [(("x",), Fraction(lam))],
+        "y": [(("y",), Fraction(lam) ** (N - 1))]
+        + [(("x",) * s, Fraction(c)) for s, c in enumerate(f) if c],
+    }
+    d = {
+        "x": [(monomial_word(i, j), Fraction(c)) for (i, j), c in dx.items()],
+        "y": [(monomial_word(i, j), Fraction(c)) for (i, j), c in dy.items()],
+    }
+
+    def leibniz(word, sign):
+        for k, letter in enumerate(word):
+            prefixes = [((), Fraction(sign))]
+            for a in word[:k]:
+                prefixes = [(p + w, c * e) for p, c in prefixes for w, e in phi[a]]
+            for p, c in prefixes:
+                for w, e in d[letter]:
+                    yield p + w + word[k + 1 :], c * e
+
+    total: dict = {}
+    for word, sign in ((("y", "x"), 1), (("x", "y"), -1), (("x",) * N, -1)):
+        for w, c in leibniz(word, sign):
+            for key, v in brute_normalize(w, N).items():
+                total[key] = total.get(key, Fraction(0)) + c * v
+    return {k: v for k, v in total.items() if v}
+
+
 def poly_divmod(num, den):
     """Plain long division on ascending Fraction coefficient lists."""
     num = [Fraction(c) for c in num]

@@ -44,11 +44,9 @@ from xnalg.ncalg import (
 )
 from xnalg.scalars import (
     CycloField,
-    MPoly,
     PolyRing,
     QPoly,
     cyclo_primitive_root,
-    series_from_coeff_rule,
 )
 from xnalg.sequences import (
     bernoulli,
@@ -57,6 +55,8 @@ from xnalg.sequences import (
     gregory,
     pochhammer_k,
 )
+
+from polys import MPoly, series_from_coeff_rule
 
 
 def _report(number, description, started):

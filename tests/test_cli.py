@@ -193,6 +193,17 @@ def test_cli_exit_codes():
     assert run_command(["unknown-command"]).status == 1
     # parse errors exit 1
     assert run_command(["norm", "x +* y", "--N", "2"]).status == 1
+    # options a subcommand does not read are not accepted (exit 1): inner and
+    # residue read N and the field from the document, taft and veronese build
+    # their own cyclotomic fields, and hh takes one scalar field or a twist
+    for argv in (["inner", "--N", "3"], ["inner", "--field-order", "2"],
+                 ["residue", "--N", "3"], ["residue", "--field-order", "2"],
+                 ["taft", "--N", "3", "--n", "2", "--field-order", "0"],
+                 ["veronese", "--N", "4", "--m", "3", "--from", "0", "--to", "3",
+                  "--field-order", "2"],
+                 ["hh", "--N", "3", "--from", "0", "--to", "2", "--field-order", "1",
+                  "--twist-order", "2"]):
+        assert run_command(argv).status == 1, argv
     # precondition violations exit 2
     assert run_command(["hh", "--N", "1", "--p", "1", "--from", "0", "--to", "2"]).status == 2
     assert run_command(["phi", "--j", "0", "--N", "3"]).status == 2
@@ -201,12 +212,13 @@ def test_cli_exit_codes():
     for argv in (["hh", "--N", "3"], ["nil", "--N", "4", "--r", "1", "--s", "1"],
                  ["veronese", "--N", "4", "--m", "3"]):
         assert run_command(argv + ["--from", "5", "--to", "2"]).status == 2
+    # a nil window wholly below the first slot -N+1 is empty too
+    assert run_command(["nil", "--N", "4", "--r", "1", "--s", "1",
+                        "--from", "-10", "--to", "-5"]).status == 2
     # the expression nesting budget: at the limit fine, far beyond it exit 2
     assert run_command(["norm", "(" * 100 + "x" + ")" * 100, "--N", "2"]).status == 0
     assert run_command(["norm", "(" * 3000 + "x" + ")" * 3000, "--N", "2"]).status == 2
-    # malformed input documents exit 1
-    bad = json.dumps({"N": 2, "localized": False,
-                      "terms": [{"xexp": 0, "yexp": 0, "coeff": "1/0"}]})
+    # a missing input file exits 2 (malformed documents: test_cli_schema_error)
     result = run_command(["inner", "--file", "/nonexistent/never.json"])
     assert result.status == 2
 

@@ -53,6 +53,25 @@ def test_slice_twisted_composes_to_zero():
         build_slice(ctx, l, fld.zeta)
 
 
+def test_slice_check_catches_a_wrong_d0(monkeypatch):
+    # d0 is read off ad_phi; an image with the x-part off by a factor must
+    # trip the d1 . d0 = 0 check on plain and on twisted slices
+    from xnalg import cohomology
+    from xnalg.maps import GenDerivation
+
+    real = cohomology.ad_phi
+
+    def wrong(u, twist=None):
+        d = real(u, twist)
+        return GenDerivation(u.ctx, d.dx + d.dx, d.dy, twist)
+
+    monkeypatch.setattr(cohomology, "ad_phi", wrong)
+    fld = CycloField(2)
+    for ctx, omega in ((AlgebraCtx(3), None), (AlgebraCtx(3, False, fld), fld.zeta)):
+        with pytest.raises(AssertionError):
+            build_slice(ctx, 3, omega)
+
+
 def test_space_euler_characteristic():
     # dim C^0 - dim C^1 + dim C^2 per degree extracts the t^{-N} coefficient
     for N in (2, 3, 4):

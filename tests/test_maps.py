@@ -16,11 +16,14 @@ from xnalg.maps import (
     exp_lnd,
     grading_derivation,
     partial_l,
+    relation_residual,
     restrict_to_algebra,
     sigma,
 )
-from xnalg.ncalg import AlgebraCtx, basis_of_degree, commutator, phi_element
+from xnalg.ncalg import AlgebraCtx, Element, basis_of_degree, commutator, phi_element
 from xnalg.scalars import CycloField, PolyRing, QPoly
+
+from oracles import brute_relation_residual
 
 
 def _random_aut(rng, ctx, units):
@@ -215,6 +218,38 @@ def test_check_welldefined():
     with pytest.raises(IllDefinedDerivationError):
         bad.apply(ctx2.y())
     assert GenDerivation.zero(ctx2).well_defined()
+
+
+def test_relation_residual_against_brute_expansion():
+    # random generator assignments, untwisted and under rational diagonal
+    # twists (every third one with a shear part too), against the Leibniz
+    # rule expanded on words and normalized by rewriting
+    rng = random.Random(1945)
+
+    def random_terms():
+        return {
+            (rng.randint(0, 3), rng.randint(0, 2)): Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            for _ in range(rng.randint(0, 3))
+        }
+
+    for trial in range(36):
+        N = rng.randint(2, 4)
+        ctx = AlgebraCtx(N)
+        dx, dy = random_terms(), random_terms()
+        lam, f, twist = Fraction(1), [], None
+        if trial % 2:
+            lam = Fraction(rng.choice([-3, -1, 2, 3]), rng.choice([1, 2]))
+            if trial % 3 == 0:
+                f = [Fraction(rng.randint(-2, 2)) for _ in range(rng.randint(1, 3))]
+            twist = Automorphism(ctx, lam, f)
+        got = relation_residual(Element(ctx, dx), Element(ctx, dy), twist)
+        assert got.terms == brute_relation_residual(dx, dy, N, lam, f), (N, dx, dy, lam, f)
+    # derivations have residual zero under both routes
+    ctx = AlgebraCtx(3)
+    twist = Automorphism.diagonal(ctx, Fraction(-2))
+    for d, lam in ((partial_l(ctx, 2), 1), (ad_phi(ctx.monomial(1, 1), twist), Fraction(-2))):
+        assert not relation_residual(d.dx, d.dy, d.twist)
+        assert brute_relation_residual(d.dx.terms, d.dy.terms, 3, lam) == {}
 
 
 def test_partial_l_images():

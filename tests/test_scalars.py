@@ -7,20 +7,18 @@ import pytest
 from xnalg.scalars import (
     CycloField,
     FieldMismatchError,
-    MPoly,
     QPoly,
     SchemaError,
-    TruncSeries,
     cyclo_primitive_root,
     cyclotomic_polynomial,
     euler_phi,
     scalar_from_json,
     scalar_to_json,
-    series_from_coeff_rule,
 )
 from xnalg.sequences import bernoulli
 
 from oracles import poly_divmod
+from polys import MPoly, TruncSeries, series_from_coeff_rule
 
 
 def test_cyclotomic_small_values():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from xnalg.scalars import MPoly, QPoly, TruncSeries, cyclo_primitive_root, series_from_coeff_rule
+from xnalg.scalars import QPoly, cyclo_primitive_root
 from xnalg.sequences import (
     bernoulli,
     c_eval,
@@ -15,6 +15,8 @@ from xnalg.sequences import (
     laguerre_poly,
     pochhammer_k,
 )
+
+from polys import MPoly, series_from_coeff_rule
 
 # the published tables of the two number sequences
 BERNOULLI_TABLE = [

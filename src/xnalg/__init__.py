@@ -18,7 +18,6 @@ from .sequences import (
     bernoulli,
     c_eval,
     c_poly,
-    double_factorial,
     gaussian_binomial,
     gregory,
     laguerre_poly,
@@ -62,7 +61,6 @@ from .cohomology import (
     BracketResult,
     ComplexSlice,
     DimsReport,
-    LaurentPoly,
     NilReport,
     TaftReport,
     bracket_table,
@@ -72,7 +70,6 @@ from .cohomology import (
     hh_profile,
     hh_reports,
     is_inner,
-    laurent_act,
     nil_chain_check,
     residue_inner_test,
     standard_derivation,

@@ -27,10 +27,9 @@ from .cohomology import (
     veronese_relation_report,
 )
 from .maps import Automorphism, GenDerivation
-from .ncalg import AlgebraCtx, Element, render_element
+from .ncalg import AlgebraCtx, Element, laguerre_identity_check, phi_element, render_element
 from .scalars import CycloField, SchemaError, scalar_to_json
 from .sequences import bernoulli, c_poly, gregory
-from .ncalg import laguerre_identity_check, phi_element
 
 
 class ParseError(ValueError):
@@ -422,7 +421,6 @@ def _build_parser():
         if window:
             p.add_argument("--from", dest="lo", type=int, required=True)
             p.add_argument("--to", dest="hi", type=int, required=True)
-        p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("norm", help="normal form of an expression")
     p.add_argument("expr")
@@ -431,7 +429,6 @@ def _build_parser():
 
     p = sub.add_parser("cseq", help="the j-th polynomial of the c-family")
     p.add_argument("--j", type=int, required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_cseq)
 
     for name, handler, blurb in (
@@ -440,7 +437,6 @@ def _build_parser():
     ):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--json", action="store_true")
         p.set_defaults(handler=handler)
 
     p = sub.add_parser("phi", help="the degree-j(N-1) element with bracket x^N y^{j-1}")
@@ -471,12 +467,10 @@ def _build_parser():
     p = sub.add_parser("inner", help="innerness decision with witness (derivation JSON on stdin or --file)")
     p.add_argument("--file", default=None)
     p.add_argument("--i-min", dest="i_min", type=int, default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_inner)
 
     p = sub.add_parser("residue", help="residue obstruction to localized innerness")
     p.add_argument("--file", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_residue)
 
     p = sub.add_parser("taft", help="obstruction to inner-faithful Taft actions")
@@ -505,6 +499,8 @@ def _build_parser():
     common(p, window=True, localized=False)
     p.set_defaults(handler=_cmd_nil)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 
@@ -526,7 +522,7 @@ def run_command(argv) -> CommandResult:
         return CommandResult(2, {"error": str(exc)}, f"precondition violated: {exc}")
     except AssertionError as exc:
         return CommandResult(3, {"error": str(exc)}, f"internal invariant breach: {exc}")
-    if getattr(ns, "json", False):
+    if ns.json:
         return CommandResult(0, payload, json.dumps(payload, indent=2, sort_keys=True))
     return CommandResult(0, payload, text)
 

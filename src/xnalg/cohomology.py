@@ -136,7 +136,8 @@ def expected_hh_dim(N: int, p: int, l: int, twist_branch) -> int:
     """Closed-form dimension of HH^p in degree l.
 
     `twist_branch` is None for the untwisted complex, True when the twist
-    scalar satisfies omega^{N-1} = 1, and False otherwise.
+    scalar satisfies omega^{N-1} = 1, and False otherwise.  The identity twist
+    omega = 1 is the untwisted complex, so it takes the None branch.
     """
     if twist_branch is None:
         if p == 0:
@@ -217,7 +218,8 @@ def hh_reports(ctx: AlgebraCtx, lo: int, hi: int, omega=None) -> list:
     twist_order = None
     if omega is not None:
         omega = ctx.coerce(omega)
-        branch = omega ** (ctx.N - 1) == ctx.field.one
+        if omega != ctx.field.one:
+            branch = omega ** (ctx.N - 1) == ctx.field.one
         twist_order = getattr(ctx.field, "order", None)
     rows, euler = hh_profile(ctx, lo, hi, omega)
     degrees = range(lo, hi + 1)
@@ -433,73 +435,21 @@ def bracket_table(ctx: AlgebraCtx, l: int, m: int) -> BracketResult:
     )
 
 
-class LaurentPoly:
-    """A Laurent polynomial: finite scalar coefficient table over integer
-    exponents.  Representation target for the residue criterion."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {k: c for k, c in (terms or {}).items() if c}
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            acc = out.get(k)
-            out[k] = c if acc is None else acc + c
-        return LaurentPoly(out)
-
-    def scale(self, c):
-        return LaurentPoly({k: c * v for k, v in self.terms.items()})
-
-    def shift(self, n: int):
-        """Multiplication by t^n."""
-        return LaurentPoly({k + n: c for k, c in self.terms.items()})
-
-    def deriv(self):
-        return LaurentPoly({k - 1: k * c for k, c in self.terms.items() if k})
-
-    def coefficient(self, k: int, zero=Fraction(0)):
-        return self.terms.get(k, zero)
-
-    def __repr__(self):
-        bits = [f"{c!r}*t^{k}" for k, c in sorted(self.terms.items())]
-        return "LaurentPoly(" + (" + ".join(bits) if bits else "0") + ")"
-
-
-def laurent_act(a: Element, f: LaurentPoly) -> LaurentPoly:
-    """Action of an element on a Laurent polynomial under the representation
-    x . f = t f and y . f = t^N f', extended along the normal form."""
-    N = a.ctx.N
-    out = LaurentPoly()
-    for (i, j), c in a.terms.items():
-        g = f
-        for _ in range(j):
-            g = g.deriv().shift(N)
-        out = out + g.shift(i).scale(c)
-    return out
-
-
 def residue_inner_test(d: GenDerivation):
     """Residue obstruction to innerness over the localization: the coefficient
     of 1/t in (extension of d)(x^{-N+1} y) acting on 1/t.  Zero signals that d
-    becomes inner after inverting x."""
+    becomes inner after inverting x.
+
+    The action x . f = t f, y . f = t^N f' on k[t, 1/t] is the cyclic module
+    A_x / A_x y: t^k is the class of x^k, because [y, x^k] = k x^{k+N-1}.  So
+    w acting on 1/t is the y-free part of the normal-form product w x^{-1}."""
     if d.is_twisted():
         raise ValueError("the residue criterion applies to untwisted derivations")
     if d.ctx.N < 2:
         raise ValueError("the residue criterion needs N >= 2")
     loc = d if d.ctx.localized else d.extend_localized()
     w = loc.apply(loc.ctx.monomial(-loc.ctx.N + 1, 1))
-    g = laurent_act(w, LaurentPoly({-1: loc.ctx.field.one}))
-    return g.coefficient(-1, loc.ctx.field.zero)
+    return (w * loc.ctx.x(-1)).coefficient(-1, 0)
 
 
 @dataclass
@@ -550,6 +500,8 @@ def taft_obstruction(N: int, n: int, max_degree: int = 6) -> TaftReport:
         raise ValueError("the obstruction check needs N >= 2 and n >= 2")
     if (N - 1) % n != 0:
         raise ValueError("the default candidate needs n to divide N-1")
+    if max_degree < 0:
+        raise ValueError("the collapse check needs max_degree >= 0")
     fld = CycloField(n)
     omega = fld.zeta
     ctx = AlgebraCtx(N, False, fld)

@@ -19,7 +19,10 @@ from fractions import Fraction
 
 from .scalars import (
     CycloField,
+    CycloScalar,
+    QPoly,
     SchemaError,
+    repeated_squaring,
     scalar_from_json,
     scalar_to_json,
 )
@@ -231,9 +234,6 @@ class Element:
             raise ValueError("element is not homogeneous")
         return degs.pop()
 
-    def is_homogeneous(self) -> bool:
-        return len({self.monomial_degree(i, j) for (i, j) in self.terms}) <= 1
-
     def level(self) -> int:
         """Filtration level: the top y-exponent (-1 for the zero element)."""
         return max((j for (_, j) in self.terms), default=-1)
@@ -335,14 +335,7 @@ def power(a: Element, k: int) -> Element:
     """Repeated normalized product; a^0 = 1."""
     if not isinstance(k, int) or k < 0:
         raise ValueError("element powers take a non-negative integer")
-    result = a.ctx.one()
-    base = a
-    while k:
-        if k & 1:
-            result = result * base
-        base = base * base
-        k >>= 1
-    return result
+    return repeated_squaring(a, k, a.ctx.one())
 
 
 def basis_of_degree(ctx: AlgebraCtx, l: int, i_min=None):
@@ -441,8 +434,6 @@ def render_scalar(c) -> str:
     """Scalar rendering for the pretty printer."""
     if isinstance(c, (int, Fraction)):
         return str(c)
-    from .scalars import CycloScalar, QPoly
-
     if isinstance(c, CycloScalar):
         return "(" + QPoly(c.coeffs).format(var="z") + ")"
     if isinstance(c, QPoly):

@@ -45,6 +45,19 @@ def _as_fraction(c):
     return c if isinstance(c, Fraction) else Fraction(c)
 
 
+def repeated_squaring(base, k: int, one):
+    """base ** k for an integer k >= 0 by square-and-multiply, multiplying
+    only with ``*``; ``one`` is the empty product."""
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
+
+
 class QPoly:
     """Univariate polynomial over Q in the variable q.
 
@@ -150,14 +163,7 @@ class QPoly:
             raise ValueError("polynomial powers take an integer exponent")
         if k < 0:
             return (1 / self) ** -k
-        result = QPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return repeated_squaring(self, k, QPoly.one())
 
     def __divmod__(self, other):
         other = QPoly._coerce(other)
@@ -176,12 +182,6 @@ class QPoly:
                 for j, b in enumerate(other.coeffs):
                     rem[k + j] -= c * b
         return QPoly(quo), QPoly(rem[:dy])
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -448,20 +448,7 @@ class CycloScalar:
             raise ValueError("scalar powers take an integer exponent")
         if k < 0:
             return self.inverse() ** (-k)
-        result = self.field.one
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def rational(self):
-        """The rational value, when the residue happens to be a constant."""
-        if any(self.coeffs[1:]):
-            raise ValueError("scalar is not rational")
-        return self.coeffs[0]
+        return repeated_squaring(self, k, self.field.one)
 
     def __repr__(self):
         return f"({QPoly(self.coeffs).format(var='z')} in {self.field!r})"

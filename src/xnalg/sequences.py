@@ -139,11 +139,3 @@ def gaussian_binomial(k: int, i: int, at=None):
         row.append(one)
     return row[i]
 
-
-def double_factorial(m: int) -> int:
-    """m!! with the convention 1 for m <= 0."""
-    result = 1
-    while m > 1:
-        result *= m
-        m -= 2
-    return result

@@ -1,9 +1,13 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the package's multiplication kernel: products are
-normalized by brute single-step rewriting with the defining relation, and
-polynomial division is redone from scratch, so agreement is meaningful.
+normalized by brute single-step rewriting with the defining relation,
+polynomial division is redone from scratch, and the action of A_x on
+k[t, 1/t] behind the residue criterion is applied term by term with t-shifts
+and derivatives, so agreement is meaningful.
 """
+
+from __future__ import annotations
 
 from fractions import Fraction
 
@@ -129,3 +133,58 @@ def column_rank(rows, ncols):
             reduced.append((vec, pivot))
             rank += 1
     return rank
+
+
+class LaurentPoly:
+    """A Laurent polynomial: finite scalar coefficient table over integer
+    exponents.  Representation target for the residue criterion."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {k: c for k, c in (terms or {}).items() if c}
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            acc = out.get(k)
+            out[k] = c if acc is None else acc + c
+        return LaurentPoly(out)
+
+    def scale(self, c):
+        return LaurentPoly({k: c * v for k, v in self.terms.items()})
+
+    def shift(self, n: int):
+        """Multiplication by t^n."""
+        return LaurentPoly({k + n: c for k, c in self.terms.items()})
+
+    def deriv(self):
+        return LaurentPoly({k - 1: k * c for k, c in self.terms.items() if k})
+
+    def coefficient(self, k: int, zero=Fraction(0)):
+        return self.terms.get(k, zero)
+
+    def __repr__(self):
+        bits = [f"{c!r}*t^{k}" for k, c in sorted(self.terms.items())]
+        return "LaurentPoly(" + (" + ".join(bits) if bits else "0") + ")"
+
+
+def laurent_act(a: Element, f: LaurentPoly) -> LaurentPoly:
+    """Action of an element on a Laurent polynomial under the representation
+    x . f = t f and y . f = t^N f', extended along the normal form."""
+    N = a.ctx.N
+    out = LaurentPoly()
+    for (i, j), c in a.terms.items():
+        g = f
+        for _ in range(j):
+            g = g.deriv().shift(N)
+        out = out + g.shift(i).scale(c)
+    return out

@@ -209,6 +209,8 @@ def test_cli_exit_codes():
     assert run_command(["phi", "--j", "0", "--N", "3"]).status == 2
     assert run_command(["hh", "--N", "3", "--twist-order", "0", "--from", "0", "--to", "2"]).status == 2
     assert run_command(["norm", "x", "--N", "2", "--field-order", "0"]).status == 2
+    # a Taft collapse check over no monomials at all is vacuous
+    assert run_command(["taft", "--N", "3", "--n", "2", "--max-degree", "-1"]).status == 2
     for argv in (["hh", "--N", "3"], ["nil", "--N", "4", "--r", "1", "--s", "1"],
                  ["veronese", "--N", "4", "--m", "3"]):
         assert run_command(argv + ["--from", "5", "--to", "2"]).status == 2
@@ -239,6 +241,18 @@ def test_cli_hh_builds_each_slice_once(monkeypatch):
     assert len(result.payload) == 3
     for p, entry in enumerate(result.payload):
         assert entry == run_command(["hh", "--p", str(p)] + window).payload
+
+
+def test_cli_hh_identity_twist_is_untwisted():
+    # twisting by omega = 1 changes nothing, so the untwisted closed forms apply
+    window = ["--N", "3", "--from", "-3", "--to", "4", "--json"]
+    plain = run_command(["hh"] + window)
+    twisted = run_command(["hh", "--twist-order", "1"] + window)
+    assert plain.status == twisted.status == 0
+    for p, (a, b) in enumerate(zip(plain.payload, twisted.payload)):
+        assert b["match"] and b["euler_match"], p
+        assert b["twist_order"] == 1
+        assert {**b, "twist_order": None} == a
 
 
 def test_cli_schema_error(tmp_path):

@@ -5,7 +5,6 @@ import pytest
 
 from xnalg import linalg
 from xnalg.cohomology import (
-    LaurentPoly,
     bracket_table,
     build_slice,
     cohomology_dims,
@@ -13,7 +12,6 @@ from xnalg.cohomology import (
     expected_partial_bracket,
     hh_profile,
     is_inner,
-    laurent_act,
     nil_chain_check,
     residue_inner_test,
     standard_derivation,
@@ -23,6 +21,7 @@ from xnalg.cohomology import (
 )
 from xnalg.maps import (
     Automorphism,
+    GenDerivation,
     ad_phi,
     grading_derivation,
     partial_l,
@@ -31,7 +30,7 @@ from xnalg.maps import (
 from xnalg.ncalg import AlgebraCtx, Element, basis_of_degree, commutator
 from xnalg.scalars import CycloField
 
-from oracles import column_rank
+from oracles import LaurentPoly, column_rank, laurent_act
 
 
 def test_slice_ranks_against_column_oracle():
@@ -345,6 +344,65 @@ def test_laurent_act_is_module_action():
         b = ctx.monomial(rng.randint(-2, 2), rng.randint(0, 2), rng.randint(1, 3))
         f = LaurentPoly({rng.randint(-3, 3): Fraction(rng.randint(1, 4))})
         assert laurent_act(a * b, f) == laurent_act(a, laurent_act(b, f))
+
+
+def test_product_y_free_part_is_laurent_action():
+    # A_x acts on k[t, 1/t] as on A_x / A_x y, with t^k the class of x^k: the
+    # y-free part of a * (sum f_k x^k) is the oracle's term-by-term action
+    rng = random.Random(29)
+    for _ in range(40):
+        N = rng.randint(2, 5)
+        loc = AlgebraCtx(N, True)
+        a = loc.zero()
+        for _ in range(rng.randint(1, 4)):
+            a = a + loc.monomial(
+                rng.randint(-4, 4), rng.randint(0, 3),
+                Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+            )
+        f = {rng.randint(-4, 4): Fraction(rng.randint(-4, 4), rng.randint(1, 2))
+             for _ in range(rng.randint(1, 4))}
+        image = a * Element(loc, {(k, 0): c for k, c in f.items() if c})
+        y_free = {i: c for (i, j), c in image.terms.items() if j == 0}
+        assert LaurentPoly(y_free) == laurent_act(a, LaurentPoly(f)), (N, a, f)
+
+
+def _oracle_residue(d):
+    loc = d if d.ctx.localized else d.extend_localized()
+    w = loc.apply(loc.ctx.monomial(-loc.ctx.N + 1, 1))
+    g = laurent_act(w, LaurentPoly({-1: loc.ctx.field.one}))
+    return g.coefficient(-1, loc.ctx.field.zero)
+
+
+def test_residue_matches_laurent_oracle():
+    rng = random.Random(4242)
+    nonzero = 0
+    for trial in range(60):
+        N = rng.randint(2, 4)
+        fld = CycloField(rng.choice((1, 3)))
+        ctx = AlgebraCtx(N, trial % 3 == 2, fld)
+
+        def scalar():
+            return fld.from_coeffs(
+                [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(fld.degree)]
+            )
+
+        u = ctx.zero()
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randint(-3 if ctx.localized else 0, 3)
+            u = u + ctx.monomial(i, rng.randint(0, 2), scalar())
+        inner = ad_phi(u)
+        assert residue_inner_test(inner) == _oracle_residue(inner) == 0
+        base = ctx.unlocalized()
+        parts = [(scalar(), grading_derivation(base))]
+        parts += [(scalar(), partial_l(base, l)) for l in range(-N + 1, 3)]
+        dx, dy = base.zero(), base.zero()
+        for c, part in parts:
+            dx, dy = dx + c * part.dx, dy + c * part.dy
+        d = GenDerivation(base, dx, dy)
+        value = residue_inner_test(d)
+        assert value == _oracle_residue(d), (N, fld, parts)
+        nonzero += bool(value)
+    assert nonzero > 40
 
 
 def test_residue_examples():

@@ -8,7 +8,6 @@ from xnalg.sequences import (
     bernoulli,
     c_eval,
     c_poly,
-    double_factorial,
     falling_binomial,
     gaussian_binomial,
     gregory,
@@ -17,6 +16,15 @@ from xnalg.sequences import (
 )
 
 from polys import MPoly, series_from_coeff_rule
+
+
+def double_factorial(m: int) -> int:
+    """m!! with the convention 1 for m <= 0."""
+    result = 1
+    while m > 1:
+        result *= m
+        m -= 2
+    return result
 
 # the published tables of the two number sequences
 BERNOULLI_TABLE = [

@@ -65,7 +65,6 @@ from .cohomology import (
     TaftReport,
     bracket_table,
     build_slice,
-    cohomology_dims,
     expected_hh_dim,
     hh_profile,
     hh_reports,

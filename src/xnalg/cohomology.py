@@ -35,15 +35,16 @@ from .scalars import CycloField, scalar_to_json
 from .sequences import gaussian_binomial
 
 
-def _matrix(columns, bases, zero):
-    """Dense rows of the matrix whose k-th column stacks the coefficient
-    vectors of the elements columns[k][b] over the monomial bases[b], the
-    rows of bases[0] on top."""
+def _matrix(columns, bases):
+    """Sparse rows {column: scalar} of the matrix whose k-th column stacks the
+    coefficient vectors of the elements columns[k][b] over the monomial
+    bases[b], the rows of bases[0] on top.  Only nonzero entries are stored,
+    the format of :mod:`xnalg.linalg`."""
     row_of, nrows = [], 0
     for basis in bases:
         row_of.append({mono: nrows + r for r, mono in enumerate(basis)})
         nrows += len(basis)
-    rows = [[zero] * len(columns) for _ in range(nrows)]
+    rows = [{} for _ in range(nrows)]
     for col, elts in enumerate(columns):
         for block, elt in zip(row_of, elts):
             for key, c in elt.terms.items():
@@ -59,17 +60,18 @@ def _solve_in_span(target, columns, field):
         sorted({key for elts in (target, *columns) for key in elts[b].terms})
         for b in range(len(target))
     ]
-    rows = _matrix([*columns, target], bases, field.zero)
-    rhs = [row.pop() for row in rows]
+    rows = _matrix([*columns, target], bases)
+    rhs = [row.pop(len(columns), field.zero) for row in rows]
     return linalg.solve(rows, rhs, len(columns), field)
 
 
 @dataclass
 class ComplexSlice:
     """The degree-l slice of the three-term complex, with exact matrices of
-    both differentials (columns indexed by the domain bases).  d0 sends a to
-    ad_phi(a) = (a x - phi(x) a, a y - phi(y) a), the negative of the other
-    usual sign; image, kernel and ranks are the same under either sign."""
+    both differentials as sparse rows {column: scalar} from `_matrix` (rows
+    indexed by the codomain bases, columns by the domain bases).  d0 sends a
+    to ad_phi(a) = (a x - phi(x) a, a y - phi(y) a), the negative of the
+    other usual sign; image, kernel and ranks are the same under either sign."""
 
     ctx: AlgebraCtx
     l: int
@@ -89,9 +91,6 @@ class ComplexSlice:
         h1 = (len(self.basis1x) + len(self.basis1y)) - rank1 - rank0
         h2 = len(self.basis2) - rank1
         return h0, h1, h2
-
-    def space_euler(self) -> int:
-        return len(self.basis0) - len(self.basis1x) - len(self.basis1y) + len(self.basis2)
 
 
 def build_slice(ctx: AlgebraCtx, l: int, omega=None) -> ComplexSlice:
@@ -117,17 +116,22 @@ def build_slice(ctx: AlgebraCtx, l: int, omega=None) -> ComplexSlice:
     for mono in basis0:
         d = ad_phi(ctx.monomial(*mono), twist)
         d0_columns.append((d.dx, d.dy))
-    d0 = _matrix(d0_columns, [basis1x, basis1y], ctx.field.zero)
+    d0 = _matrix(d0_columns, [basis1x, basis1y])
 
-    d1_columns = [(relation_residual(ctx.monomial(*m), zero, twist),) for m in basis1x]
-    d1_columns += [(relation_residual(zero, ctx.monomial(*m), twist),) for m in basis1y]
-    d1 = _matrix(d1_columns, [basis2], ctx.field.zero)
+    images_x = {m: relation_residual(ctx.monomial(*m), zero, twist) for m in basis1x}
+    images_y = {m: relation_residual(zero, ctx.monomial(*m), twist) for m in basis1y}
+    d1 = _matrix([(r,) for r in (*images_x.values(), *images_y.values())], [basis2])
 
-    for col in range(len(basis0)):
-        entries = [(k, row[col]) for k, row in enumerate(d0) if row[col]]
-        for row in d1:
-            if sum((row[k] * c for k, c in entries), ctx.field.zero):
-                raise AssertionError("the slice differentials do not compose to zero")
+    # d1 . d0 column by column: sum_k c_k (d1 column k) over the nonzeros of
+    # each d0 column, read off the d1 column images above
+    for dx, dy in d0_columns:
+        total = {}
+        for images, part in ((images_x, dx), (images_y, dy)):
+            for mono, c in part.terms.items():
+                for key, v in images[mono].terms.items():
+                    total[key] = total.get(key, ctx.field.zero) + c * v
+        if any(total.values()):
+            raise AssertionError("the slice differentials do not compose to zero")
 
     return ComplexSlice(ctx, l, omega, basis0, basis1x, basis1y, basis2, d0, d1)
 
@@ -243,13 +247,6 @@ def hh_reports(ctx: AlgebraCtx, lo: int, hi: int, omega=None) -> list:
             )
         )
     return reports
-
-
-def cohomology_dims(ctx: AlgebraCtx, p: int, lo: int, hi: int, omega=None) -> DimsReport:
-    """The HH^p report of :func:`hh_reports`."""
-    if p not in (0, 1, 2):
-        raise ValueError("p must be 0, 1 or 2")
-    return hh_reports(ctx, lo, hi, omega)[p]
 
 
 def is_inner(d: GenDerivation, i_min=None):

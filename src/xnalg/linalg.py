@@ -1,81 +1,59 @@
-"""Exact linear algebra over the scalar field.
+"""Exact sparse linear algebra over the scalar field.
 
-Matrices are lists of rows of field scalars; elimination divides by pivots,
-which is exact in every supported field, so rank, nullspace and solving carry
-no tolerance whatsoever.
+A matrix is a list of rows, each a dict {column: scalar} of the nonzero
+entries.  One forward elimination serves `rank` and `solve`.  It takes pivot
+columns left to right, which are the pivot columns of the dense reduced row
+echelon form, and in each pivots on the shortest row nonzero there
+(Markowitz's rule), which keeps fill-in low.  So the solution with free
+variables set to zero is the vector a dense elimination gives.  Division by
+pivots is exact in every supported field: no tolerance enters anywhere.
 """
 
 from __future__ import annotations
 
 
-def _rref(rows, ncols):
-    """Reduced row echelon form in place (on a copied matrix).
-
-    Returns (pivot column list, reduced rows).
-    """
-    mat = [list(r) for r in rows]
+def _eliminate(rows, ncols):
+    """Forward elimination on copies of `rows` over the columns below `ncols`:
+    the pivots in column order as (column, row) pairs, each row scaled to 1 in
+    its column with that entry dropped, and the nonzero rows left over (zero
+    below `ncols`)."""
+    active = [dict(row) for row in rows if row]
     pivots = []
-    row = 0
     for col in range(ncols):
-        pivot = None
-        for r in range(row, len(mat)):
-            if mat[r][col]:
-                pivot = r
-                break
-        if pivot is None:
+        hits = [row for row in active if col in row]
+        if not hits:
             continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = 1 / mat[row][col]
-        mat[row] = [c * inv for c in mat[row]]
-        for r in range(len(mat)):
-            if r != row and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(mat):
-            break
-    return pivots, mat
+        source = min(hits, key=len)
+        inv = 1 / source.pop(col)
+        pivot = {c: v * inv for c, v in source.items()}
+        for row in hits:
+            if row is source:
+                continue
+            f = row.pop(col)
+            for c, v in pivot.items():
+                w = row.pop(c, None)
+                w = -f * v if w is None else w - f * v
+                if w:
+                    row[c] = w
+        active = [row for row in active if row and row is not source]
+        pivots.append((col, pivot))
+    return pivots, active
 
 
-def rank(rows, ncols=None) -> int:
-    if not rows:
-        return 0
-    ncols = len(rows[0]) if ncols is None else ncols
-    pivots, _ = _rref(rows, ncols)
-    return len(pivots)
-
-
-def nullspace(rows, ncols, field):
-    """A basis of the kernel, one vector per free column (deterministic)."""
-    if not rows:
-        return [
-            [field.one if c == k else field.zero for c in range(ncols)]
-            for k in range(ncols)
-        ]
-    pivots, mat = _rref(rows, ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [field.zero] * ncols
-        vec[free] = field.one
-        for r, col in enumerate(pivots):
-            vec[col] = -mat[r][free]
-        basis.append(vec)
-    return basis
+def rank(rows, ncols) -> int:
+    return len(_eliminate(rows, ncols)[0])
 
 
 def solve(rows, rhs, ncols, field):
     """A particular solution of rows * x = rhs with free variables set to
     zero, or None when the system is inconsistent."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots, mat = _rref(aug, ncols)
-    for r in range(len(pivots), len(mat)):
-        if mat[r][ncols]:
-            return None
-    vec = [field.zero] * ncols
-    for r, col in enumerate(pivots):
-        vec[col] = mat[r][ncols]
-    return vec
+    augmented = [{**row, ncols: b} if b else row for row, b in zip(rows, rhs)]
+    pivots, rest = _eliminate(augmented, ncols)
+    if rest:
+        return None
+    x = {}
+    for col, row in reversed(pivots):
+        x[col] = row.get(ncols, field.zero) - sum(
+            (v * x[c] for c, v in row.items() if c in x), field.zero
+        )
+    return [x.get(c, field.zero) for c in range(ncols)]

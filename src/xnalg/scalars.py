@@ -114,6 +114,9 @@ class QPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a constant equals its Fraction value, so it hashes as that value
+        if len(self.coeffs) <= 1:
+            return hash(self.const())
         return hash(("QPoly", self.coeffs))
 
     def __neg__(self):
@@ -378,6 +381,9 @@ class CycloScalar:
         return self.coeffs == other.coeffs
 
     def __hash__(self):
+        # a rational value equals its Fraction, so it hashes as that Fraction
+        if not any(self.coeffs[1:]):
+            return hash(self.coeffs[0])
         return hash(("CycloScalar", self.field.order, self.coeffs))
 
     def __neg__(self):

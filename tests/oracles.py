@@ -4,7 +4,8 @@ These deliberately avoid the package's multiplication kernel: products are
 normalized by brute single-step rewriting with the defining relation,
 polynomial division is redone from scratch, and the action of A_x on
 k[t, 1/t] behind the residue criterion is applied term by term with t-shifts
-and derivatives, so agreement is meaningful.
+and derivatives, and linear algebra runs on dense rows with first-row
+pivoting, so agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -133,6 +134,78 @@ def column_rank(rows, ncols):
             reduced.append((vec, pivot))
             rank += 1
     return rank
+
+
+def dense(rows, ncols, zero):
+    """Dense list rows of a matrix given as sparse {column: scalar} rows."""
+    return [[row.get(c, zero) for c in range(ncols)] for row in rows]
+
+
+def _rref(rows, ncols):
+    """Dense reduced row echelon form on a copied matrix, pivoting on the
+    first nonzero row of each column.
+
+    Returns (pivot column list, reduced rows).
+    """
+    mat = [list(r) for r in rows]
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        pivot = None
+        for r in range(row, len(mat)):
+            if mat[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        mat[row], mat[pivot] = mat[pivot], mat[row]
+        inv = 1 / mat[row][col]
+        mat[row] = [c * inv for c in mat[row]]
+        for r in range(len(mat)):
+            if r != row and mat[r][col]:
+                factor = mat[r][col]
+                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(mat):
+            break
+    return pivots, mat
+
+
+def nullspace(rows, ncols, field):
+    """A basis of the kernel of a dense matrix, one vector per free column
+    (deterministic)."""
+    if not rows:
+        return [
+            [field.one if c == k else field.zero for c in range(ncols)]
+            for k in range(ncols)
+        ]
+    pivots, mat = _rref(rows, ncols)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        vec = [field.zero] * ncols
+        vec[free] = field.one
+        for r, col in enumerate(pivots):
+            vec[col] = -mat[r][free]
+        basis.append(vec)
+    return basis
+
+
+def solve(rows, rhs, ncols, field):
+    """A particular solution of the dense system rows * x = rhs with free
+    variables set to zero, or None when the system is inconsistent."""
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    pivots, mat = _rref(aug, ncols)
+    for r in range(len(pivots), len(mat)):
+        if mat[r][ncols]:
+            return None
+    vec = [field.zero] * ncols
+    for r, col in enumerate(pivots):
+        vec[col] = mat[r][ncols]
+    return vec
 
 
 class LaurentPoly:

@@ -7,10 +7,10 @@ from xnalg import linalg
 from xnalg.cohomology import (
     bracket_table,
     build_slice,
-    cohomology_dims,
     expected_l_bracket,
     expected_partial_bracket,
     hh_profile,
+    hh_reports,
     is_inner,
     nil_chain_check,
     residue_inner_test,
@@ -30,7 +30,7 @@ from xnalg.maps import (
 from xnalg.ncalg import AlgebraCtx, Element, basis_of_degree, commutator
 from xnalg.scalars import CycloField
 
-from oracles import LaurentPoly, column_rank, laurent_act
+from oracles import LaurentPoly, column_rank, dense, laurent_act, nullspace
 
 
 def test_slice_ranks_against_column_oracle():
@@ -40,8 +40,10 @@ def test_slice_ranks_against_column_oracle():
             sl = build_slice(ctx, l)
             ncols0 = len(sl.basis0)
             ncols1 = len(sl.basis1x) + len(sl.basis1y)
-            assert linalg.rank(sl.d0, ncols0) == column_rank(sl.d0, ncols0)
-            assert linalg.rank(sl.d1, ncols1) == column_rank(sl.d1, ncols1)
+            d0 = dense(sl.d0, ncols0, ctx.field.zero)
+            d1 = dense(sl.d1, ncols1, ctx.field.zero)
+            assert linalg.rank(sl.d0, ncols0) == column_rank(d0, ncols0)
+            assert linalg.rank(sl.d1, ncols1) == column_rank(d1, ncols1)
 
 
 def test_slice_twisted_composes_to_zero():
@@ -77,7 +79,8 @@ def test_space_euler_characteristic():
         ctx = AlgebraCtx(N)
         for l in range(-N - 2, 9):
             sl = build_slice(ctx, l)
-            assert sl.space_euler() == (1 if l == -N else 0), (N, l)
+            euler = len(sl.basis0) - len(sl.basis1x) - len(sl.basis1y) + len(sl.basis2)
+            assert euler == (1 if l == -N else 0), (N, l)
 
 
 def test_d1_kernel_is_welldefinedness():
@@ -95,7 +98,8 @@ def test_d1_kernel_is_welldefinedness():
         for l in range(-2, 5):
             sl = build_slice(ctx, l, omega)
             ncols = len(sl.basis1x) + len(sl.basis1y)
-            kernel = linalg.nullspace(sl.d1, ncols, fld)
+            d1 = dense(sl.d1, ncols, fld.zero)
+            kernel = nullspace(d1, ncols, fld)
             for vec in kernel:
                 dx = sum(
                     (ctx.monomial(i, j, c) for (i, j), c in zip(sl.basis1x, vec) if c),
@@ -122,7 +126,7 @@ def test_d1_kernel_is_welldefinedness():
                     vec[len(sl.basis1x) + idx1y[key]] = c
                 image = [
                     sum((row[k] * vec[k] for k in range(ncols)), fld.zero)
-                    for row in sl.d1
+                    for row in d1
                 ]
                 assert not any(image), (N, l)
 
@@ -138,10 +142,10 @@ def test_center_is_scalars():
 
 def test_dims_untwisted_examples():
     ctx = AlgebraCtx(3)
-    rep = cohomology_dims(ctx, 1, -4, 3)
+    rep = hh_reports(ctx, -4, 3)[1]
     assert rep.computed == [0, 0, 1, 1, 2, 1, 1, 1]
     assert rep.match and rep.euler_match
-    rep2 = cohomology_dims(ctx, 2, -4, 0)
+    rep2 = hh_reports(ctx, -4, 0)[2]
     assert rep2.computed == [0, 1, 1, 1, 1]
     assert rep2.match
 
@@ -149,7 +153,7 @@ def test_dims_untwisted_examples():
 def test_dims_twisted_example():
     fld = CycloField(2)
     ctx = AlgebraCtx(3, False, fld)
-    rep = cohomology_dims(ctx, 1, -2, 3, fld.zeta)
+    rep = hh_reports(ctx, -2, 3, fld.zeta)[1]
     assert rep.computed == [0, 1, 0, 1, 0, 1]
     assert rep.match and rep.euler_match
 
@@ -159,10 +163,10 @@ def test_twisted_nonroot_branch():
     fld = CycloField(4)
     ctx = AlgebraCtx(4, False, fld)
     for p, expected in ((0, 0), (1, 0)):
-        rep = cohomology_dims(ctx, p, -3, 5, fld.zeta)
+        rep = hh_reports(ctx, -3, 5, fld.zeta)[p]
         assert rep.match, (p, rep.computed)
         assert all(v == expected for v in rep.computed)
-    rep2 = cohomology_dims(ctx, 2, -5, 2, fld.zeta)
+    rep2 = hh_reports(ctx, -5, 2, fld.zeta)[2]
     assert rep2.match
     assert rep2.computed == [0, 1, 0, 0, 0, 0, 0, 0]
 
@@ -179,7 +183,7 @@ def test_commutator_image_is_xN_slice():
             # containment: every image lives in x^N A
             assert all(i >= N for (i, _) in keys)
             index = {k: r for r, k in enumerate(keys)}
-            rows = [[Fraction(0)] * len(basis) for _ in keys]
+            rows = [{} for _ in keys]
             for col, img in enumerate(images):
                 for key, c in img.terms.items():
                     rows[index[key]][col] = c
@@ -231,7 +235,7 @@ def test_standard_derivations_realize_dims():
             ncols = len(sl.basis0)
 
             def vec(d):
-                out = [Fraction(0)] * (len(sl.basis1x) + len(sl.basis1y))
+                out = {}
                 for key, c in d.dx.terms.items():
                     out[idx1x[key]] = c
                 for key, c in d.dy.terms.items():
@@ -242,7 +246,9 @@ def test_standard_derivations_realize_dims():
             if l == 0:
                 reps.append(grading_derivation(ctx))
             dim1 = len(sl.basis1x) + len(sl.basis1y)
-            image_rows = [[sl.d0[r][c] for r in range(dim1)] for c in range(ncols)]
+            image_rows = [
+                {r: row[c] for r, row in enumerate(sl.d0) if c in row} for c in range(ncols)
+            ]
             base_rank = linalg.rank(image_rows, dim1)
             stacked = image_rows + [vec(d) for d in reps]
             assert linalg.rank(stacked, dim1) == base_rank + len(reps)
@@ -291,7 +297,7 @@ def test_localized_center_is_scalars_on_windows():
                     rows[keys_x.index(key)][col] = c
                 for key, c in cy.terms.items():
                     rows[len(keys_x) + keys_y.index(key)][col] = c
-            null = linalg.nullspace(rows, len(basis), loc.field)
+            null = nullspace(rows, len(basis), loc.field)
             if l == 0:
                 assert len(null) == 1
                 nonzero = [basis[k] for k, c in enumerate(null[0]) if c]

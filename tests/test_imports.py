@@ -1,0 +1,27 @@
+"""The package has no runtime dependencies: every module under src/xnalg
+imports only from the standard library or relative to the package."""
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "xnalg"
+
+
+def test_package_imports_only_stdlib_or_relative():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    offenders = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] not in sys.stdlib_module_names:
+                    offenders.append(f"{path.name}:{node.lineno} imports {name}")
+    assert not offenders, offenders

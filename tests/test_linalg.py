@@ -1,0 +1,111 @@
+"""The sparse elimination of `xnalg.linalg` against the dense oracles:
+`rank` against `column_rank`, and `solve` against the dense first-row
+pivoting `solve`, vector for vector, over Q, Q(zeta_3) and Q(zeta_5)."""
+
+import random
+from fractions import Fraction
+
+from xnalg import linalg
+from xnalg.scalars import CycloField
+
+from oracles import column_rank, dense, solve
+
+FIELDS = [CycloField(n) for n in (1, 3, 5)]
+
+
+def _scalar(rng, field):
+    coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(field.degree)]
+    return field.from_coeffs(coeffs) or field.one
+
+
+def _combine(rows, weights, zero):
+    out = {}
+    for row, w in zip(rows, weights):
+        for c, v in row.items():
+            out[c] = out.get(c, zero) + w * v
+    return {c: v for c, v in out.items() if v}
+
+
+def _system(rng, field):
+    """A sparse system; some rows and columns are made dependent, and the
+    storage order of every row is shuffled (it carries no meaning)."""
+    nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
+    density = rng.choice((0.15, 0.3, 0.5))
+    rows = [
+        {c: _scalar(rng, field) for c in range(ncols) if rng.random() < density}
+        for _ in range(nrows)
+    ]
+    if nrows >= 3 and rng.random() < 0.5:
+        weights = [_scalar(rng, field), _scalar(rng, field)]
+        rows[-1] = _combine(rows[:2], weights, field.zero)
+    if ncols >= 3 and rng.random() < 0.5:
+        src, dst = sorted(rng.sample(range(ncols), 2))
+        w = _scalar(rng, field)
+        for row in rows:
+            row.pop(dst, None)
+            if src in row:
+                row[dst] = w * row[src]
+    shuffled = []
+    for row in rows:
+        keys = list(row)
+        rng.shuffle(keys)
+        shuffled.append({c: row[c] for c in keys})
+    return shuffled, ncols
+
+
+def _rhs(rng, field, rows, ncols, consistent):
+    if not consistent:
+        return [_scalar(rng, field) if rng.random() < 0.5 else field.zero for _ in rows]
+    x = [_scalar(rng, field) if rng.random() < 0.6 else field.zero for _ in range(ncols)]
+    return [sum((v * x[c] for c, v in row.items()), field.zero) for row in rows]
+
+
+def _check(rows, rhs, ncols, field):
+    before = [dict(row) for row in rows]
+    full = dense(rows, ncols, field.zero)
+    assert linalg.rank(rows, ncols) == column_rank(full, ncols)
+    got = linalg.solve(rows, rhs, ncols, field)
+    assert got == solve(full, rhs, ncols, field)
+    assert rows == before
+    return got
+
+
+def test_rank_and_solve_match_dense_oracles_on_random_systems():
+    rng = random.Random(20240617)
+    for field in FIELDS:
+        solved = unsolvable = deficient = 0
+        for trial in range(150):
+            rows, ncols = _system(rng, field)
+            consistent = trial % 2 == 0
+            rhs = _rhs(rng, field, rows, ncols, consistent)
+            got = _check(rows, rhs, ncols, field)
+            if consistent:
+                assert got is not None
+            solved += got is not None
+            unsolvable += got is None
+            deficient += linalg.rank(rows, ncols) < min(len(rows), ncols)
+        assert solved >= 50 and unsolvable >= 20 and deficient >= 20, field
+
+
+def test_empty_and_zero_systems():
+    for field in FIELDS:
+        zero, one = field.zero, field.one
+        assert linalg.rank([], 0) == 0 and linalg.rank([], 4) == 0
+        assert linalg.solve([], [], 0, field) == []
+        assert linalg.solve([], [], 3, field) == [zero] * 3
+        assert _check([{}, {}], [zero, zero], 3, field) == [zero] * 3
+        assert _check([{}, {}], [zero, one], 3, field) is None
+        assert _check([{0: one}], [one], 0, field) is None
+
+
+def test_shortest_candidate_row_is_not_the_first():
+    # column 0 is nonzero in both rows and the second, shorter row is the
+    # pivot; its first stored entry sits in the free column 2, which must not
+    # become a pivot column, or the solution with free variables zero moves
+    q = Fraction
+    rows = [{0: q(1), 1: q(2), 2: q(1)}, {2: q(3), 0: q(1)}]
+    field = FIELDS[0]
+    assert _check(rows, [q(4), q(5)], 3, field) == [q(5), q(-1, 2), q(0)]
+    assert linalg.rank(rows, 3) == 2
+    tall = [{0: q(1), 1: q(1), 3: q(1)}, {3: q(1), 0: q(2)}, {1: q(1), 2: q(1)}]
+    _check(tall, [q(1), q(2), q(3)], 4, field)

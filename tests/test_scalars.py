@@ -115,6 +115,27 @@ def test_scalar_arith_examples():
     assert lhs == field.from_coeffs(rem)
 
 
+def test_equal_scalars_hash_alike():
+    # a rational value in Q(zeta_n) or a constant QPoly equals its Fraction,
+    # so sets and dicts must treat the two as one key
+    half = Fraction(1, 2)
+    for n in (2, 3, 5, 6):
+        fld = CycloField(n)
+        for q in (half, Fraction(0), Fraction(-3)):
+            a = fld.coerce(q)
+            assert a == q
+            assert len({a, q}) == 1 and len({q, a}) == 1, (n, q)
+            assert {q: "q"}[a] == "q" and {a: "a"}[q] == "a"
+        assert len({fld.coerce(3), 3, Fraction(3)}) == 1
+        assert len({fld.zeta, fld.zeta * 1, fld.one}) == 2
+    for value in (half, Fraction(0), Fraction(7)):
+        p = QPoly((value,))
+        assert p == value
+        assert len({p, value}) == 1 and {value: 1}[p] == 1, value
+    assert len({QPoly(), 0}) == 1
+    assert len({QPoly((1, 2)), QPoly((1, 2)), Fraction(1)}) == 2
+
+
 def test_field_mismatch_raises():
     with pytest.raises(FieldMismatchError):
         cyclo_primitive_root(3) + cyclo_primitive_root(4)

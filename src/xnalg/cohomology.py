@@ -129,7 +129,8 @@ def build_slice(ctx: AlgebraCtx, l: int, omega=None) -> ComplexSlice:
         for images, part in ((images_x, dx), (images_y, dy)):
             for mono, c in part.terms.items():
                 for key, v in images[mono].terms.items():
-                    total[key] = total.get(key, ctx.field.zero) + c * v
+                    acc = total.get(key)
+                    total[key] = c * v if acc is None else acc + c * v
         if any(total.values()):
             raise AssertionError("the slice differentials do not compose to zero")
 

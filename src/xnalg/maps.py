@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .ncalg import AlgebraCtx, CtxMismatchError, Element, phi_element
+from .ncalg import AlgebraCtx, CtxMismatchError, Element, comm_move_left, phi_element
 from .scalars import SchemaError, scalar_from_json, scalar_to_json
 
 
@@ -32,9 +32,12 @@ def decompose_degree(l: int, N: int):
 
 
 class Automorphism:
-    """The automorphism x -> lam x, y -> lam^{N-1} y + f(x)."""
+    """The automorphism x -> lam x, y -> lam^{N-1} y + f(x).
 
-    __slots__ = ("ctx", "lam", "f")
+    Instances are immutable, so the image of y and the powers of lam are
+    computed once per instance and reused."""
+
+    __slots__ = ("ctx", "lam", "f", "_y_image", "_lam_powers")
 
     def __init__(self, ctx: AlgebraCtx, lam, f=()):
         lam = ctx.coerce(lam)
@@ -46,6 +49,8 @@ class Automorphism:
         self.ctx = ctx
         self.lam = lam
         self.f = tuple(coeffs)
+        self._y_image = None
+        self._lam_powers = {}
 
     @classmethod
     def identity(cls, ctx):
@@ -85,8 +90,17 @@ class Automorphism:
         return self.ctx.monomial(1, 0, self.lam)
 
     def y_image(self) -> Element:
-        img = self.ctx.monomial(0, 1, self.lam ** (self.ctx.N - 1))
-        return img + self.f_element()
+        if self._y_image is None:
+            img = self.ctx.monomial(0, 1, self.lam_power(self.ctx.N - 1))
+            self._y_image = img + self.f_element()
+        return self._y_image
+
+    def lam_power(self, k: int):
+        """lam^k for any integer k."""
+        power = self._lam_powers.get(k)
+        if power is None:
+            power = self._lam_powers[k] = self.lam ** k
+        return power
 
     def apply(self, a: Element) -> Element:
         """Image of an element: multiplicative extension of the generator
@@ -102,7 +116,7 @@ class Automorphism:
         for (i, j), c in a.terms.items():
             while len(ypow) <= j:
                 ypow.append(ypow[-1] * y_img)
-            out = out + (c * self.lam ** i) * (ctx.monomial(i, 0) * ypow[j])
+            out = out + (c * self.lam_power(i)) * (ctx.monomial(i, 0) * ypow[j])
         return out
 
     def compose(self, other: "Automorphism") -> "Automorphism":
@@ -199,26 +213,48 @@ def exp_lnd(ctx: AlgebraCtx, g, t) -> Automorphism:
 
 
 def _twist_images(ctx: AlgebraCtx, twist: Automorphism | None):
-    """(lam, phi(y)) of the twist, or (1, y) without one; phi(y) is rebased
-    onto `ctx`, which may be the localization of the twist's context."""
+    """(k -> lam^k, phi(y)) of the twist, or (k -> 1, y) without one; phi(y)
+    is rebased onto `ctx`, which may be the localization of the twist's
+    context."""
     if twist is None:
-        return ctx.field.one, ctx.y()
-    return twist.lam, Element(ctx, dict(twist.y_image().terms))
+        one = ctx.field.one
+        return (lambda k: one), ctx.y()
+    phi_y = twist.y_image()
+    if phi_y.ctx != ctx:
+        phi_y = Element(ctx, dict(phi_y.terms))
+    return twist.lam_power, phi_y
 
 
 def relation_residual(dx: Element, dy: Element, twist: Automorphism | None = None) -> Element:
     """The image of yx - xy - x^N under the (twisted) Leibniz extension of
     x -> dx, y -> dy; it vanishes exactly when the assignment is a derivation.
-    Linear in (dx, dy)."""
+    Linear in (dx, dy).
+
+    The image is dy x + phi(y) dx - dx y - lam x dy - sum_s lam^s x^s dx x^{N-1-s}.
+    Every term but phi(y) dx (phi(y) may carry a shear part f(x)) is a monomial
+    x^a (x^i y^j) x^b, written out by the integer weights of `comm_move_left`
+    into one coefficient table."""
     ctx = dx.ctx
-    lam, phi_y = _twist_images(ctx, twist)
-    x = ctx.x()
-    value = dy * x + phi_y * dx - dx * ctx.y() - lam * (x * dy)
-    lam_s = ctx.field.one
-    for s in range(ctx.N):
-        value = value - lam_s * (ctx.x(s) * dx * ctx.x(ctx.N - 1 - s))
-        lam_s = lam_s * lam
-    return value
+    N = ctx.N
+    lam_power, phi_y = _twist_images(ctx, twist)
+    out = dict((phi_y * dx).terms)
+
+    def add(c, a, i, j, b):
+        # c x^a (x^i y^j) x^b, with y^j x^b = sum_t w_t x^{e_t} y^t
+        for w, e, t in comm_move_left(b, j, N):
+            key = (a + i + e, t)
+            v = c if w == 1 else c * w
+            acc = out.get(key)
+            out[key] = v if acc is None else acc + v
+
+    for (i, j), c in dy.terms.items():
+        add(c, 0, i, j, 1)
+        add(-(lam_power(1) * c), 1, i, j, 0)
+    for (i, j), c in dx.terms.items():
+        add(-c, 0, i, j + 1, 0)
+        for s in range(N):
+            add(-(lam_power(s) * c), s, i, j, N - 1 - s)
+    return Element(ctx, out)
 
 
 class GenDerivation:
@@ -281,20 +317,20 @@ class GenDerivation:
         ctx = self.ctx
         if a.ctx != ctx:
             raise CtxMismatchError(f"{a.ctx!r} vs {ctx!r}")
-        lam, phi_y = _twist_images(ctx, self.twist)
+        lam_power, phi_y = _twist_images(ctx, self.twist)
         phi_ypow = [ctx.one()]
         out = ctx.zero()
         for (i, j), c in a.terms.items():
             part = ctx.zero()
             if i > 0:
                 for s in range(i):
-                    part = part + lam ** s * (
+                    part = part + lam_power(s) * (
                         ctx.x(s) * self.dx * ctx.monomial(i - 1 - s, j)
                     )
             elif i < 0:
-                d_xinv = (-1 / lam) * (ctx.x(-1) * self.dx * ctx.x(-1))
+                d_xinv = -lam_power(-1) * (ctx.x(-1) * self.dx * ctx.x(-1))
                 for s in range(-i):
-                    part = part + lam ** (-s) * (
+                    part = part + lam_power(-s) * (
                         ctx.x(-s) * d_xinv * ctx.monomial(i + 1 + s, j)
                     )
             if j > 0:
@@ -303,7 +339,7 @@ class GenDerivation:
                 inner = ctx.zero()
                 for s in range(j):
                     inner = inner + phi_ypow[s] * self.dy * ctx.y(j - 1 - s)
-                part = part + lam ** i * (ctx.x(i) * inner)
+                part = part + lam_power(i) * (ctx.x(i) * inner)
             out = out + c * part
         return out
 
@@ -394,8 +430,8 @@ def ad_phi(u: Element, twist: Automorphism | None = None) -> GenDerivation:
     """The inner twisted derivation a -> u a - phi(a) u, restricted to its
     generator images.  Always well defined."""
     ctx = u.ctx
-    lam, phi_y = _twist_images(ctx, twist)
-    dx = u * ctx.x() - ctx.monomial(1, 0, lam) * u
+    lam_power, phi_y = _twist_images(ctx, twist)
+    dx = u * ctx.x() - ctx.monomial(1, 0, lam_power(1)) * u
     dy = u * ctx.y() - phi_y * u
     d = GenDerivation(ctx, dx, dy, twist)
     d._well_defined = True

@@ -19,6 +19,7 @@ _lock = threading.Lock()
 _bernoulli: list[Fraction] = [Fraction(1)]
 _gregory: list[Fraction] = [Fraction(1), Fraction(1, 2)]
 _cpolys: list[QPoly] = [QPoly.one()]
+_cweights: list[QPoly] = [QPoly.one()]  # (1)_{q,r} / r! at index r
 
 
 def pochhammer_k(a, k, i: int):
@@ -74,10 +75,12 @@ def c_poly(j: int) -> QPoly:
     with _lock:
         while len(_cpolys) <= j:
             m = len(_cpolys)
+            while len(_cweights) <= m + 1:
+                r = len(_cweights)
+                _cweights.append(_cweights[-1] * (1 + (r - 1) * q) / r)
             acc = QPoly.zero()
             for i in range(m):
-                weight = pochhammer_k(QPoly.one(), q, m + 1 - i) / math.factorial(m + 1 - i)
-                acc = acc + weight * _cpolys[i] / math.factorial(i)
+                acc = acc + _cweights[m + 1 - i] * _cpolys[i] / math.factorial(i)
             _cpolys.append(-acc * math.factorial(m))
         return _cpolys[j]
 

@@ -5,7 +5,10 @@ normalized by brute single-step rewriting with the defining relation,
 polynomial division is redone from scratch, and the action of A_x on
 k[t, 1/t] behind the residue criterion is applied term by term with t-shifts
 and derivatives, and linear algebra runs on dense rows with first-row
-pivoting, so agreement is meaningful.
+pivoting, so agreement is meaningful.  The one exception is
+`product_chain_relation_residual`, which uses whole-element products on
+purpose: it reaches localized and cyclotomic inputs, where the word oracle
+`brute_relation_residual` does not.
 """
 
 from __future__ import annotations
@@ -91,6 +94,31 @@ def brute_relation_residual(dx, dy, N, lam=Fraction(1), f=()):
             for key, v in brute_normalize(w, N).items():
                 total[key] = total.get(key, Fraction(0)) + c * v
     return {k: v for k, v in total.items() if v}
+
+
+def product_chain_relation_residual(dx, dy, twist=None):
+    """The image of yx - xy - x^N under the twisted Leibniz extension of
+    x -> dx, y -> dy, as the chain of whole-element normal-form products
+
+        dy x + phi(y) dx - dx y - lam x dy - sum_s lam^s x^s dx x^{N-1-s}
+
+    with phi(x) = lam x and phi(y) = lam^{N-1} y + f(x) built from the twist's
+    parameters.  dx and dy are elements, possibly localized, over any field."""
+    ctx = dx.ctx
+    N = ctx.N
+    lam, phi_y = ctx.field.one, ctx.y()
+    if twist is not None:
+        lam = twist.lam
+        phi_y = ctx.monomial(0, 1, lam ** (N - 1))
+        for s, c in enumerate(twist.f):
+            phi_y = phi_y + ctx.monomial(s, 0, c)
+    x = ctx.x()
+    value = dy * x + phi_y * dx - dx * ctx.y() - lam * (x * dy)
+    lam_s = ctx.field.one
+    for s in range(N):
+        value = value - lam_s * (ctx.x(s) * dx * ctx.x(N - 1 - s))
+        lam_s = lam_s * lam
+    return value
 
 
 def poly_divmod(num, den):

@@ -25,10 +25,11 @@ from xnalg.maps import (
     ad_phi,
     grading_derivation,
     partial_l,
+    relation_residual,
     restrict_to_algebra,
 )
 from xnalg.ncalg import AlgebraCtx, Element, basis_of_degree, commutator
-from xnalg.scalars import CycloField
+from xnalg.scalars import CycloField, CycloScalar
 
 from oracles import LaurentPoly, column_rank, dense, laurent_act, nullspace
 
@@ -71,6 +72,32 @@ def test_slice_check_catches_a_wrong_d0(monkeypatch):
     for ctx, omega in ((AlgebraCtx(3), None), (AlgebraCtx(3, False, fld), fld.zeta)):
         with pytest.raises(AssertionError):
             build_slice(ctx, 3, omega)
+
+
+def test_slice_and_residual_coefficients_are_field_scalars():
+    # exactness: the integer commutation weights must never surface as bare
+    # ints (nor anything else) among the coefficients of relation residuals
+    # or of the slice matrices
+    rng = random.Random(7)
+    checked = 0
+    for order, kind in ((1, Fraction), (3, CycloScalar), (4, CycloScalar), (5, CycloScalar)):
+        field = CycloField(order)
+        ctx = AlgebraCtx(3, False, field)
+        for omega in (None, field.zeta if order > 1 else Fraction(2)):
+            for l in (-3, 0, 4, 9):
+                sl = build_slice(ctx, l, omega)
+                for row in (*sl.d0, *sl.d1):
+                    assert all(type(c) is kind for c in row.values()), (order, omega, l)
+                    checked += len(row)
+        loc = ctx.localize()
+        for twist in (None, Automorphism(ctx, field.zeta if order > 1 else 2, [1, 3])):
+            for _ in range(6):
+                dx, dy = (Element(loc, {(rng.randint(-3, 3), rng.randint(0, 2)): field.one})
+                          for _ in range(2))
+                value = relation_residual(dx, dy, twist)
+                assert all(type(c) is kind for c in value.terms.values())
+                checked += len(value.terms)
+    assert checked > 400
 
 
 def test_space_euler_characteristic():

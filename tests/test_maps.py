@@ -23,7 +23,7 @@ from xnalg.maps import (
 from xnalg.ncalg import AlgebraCtx, Element, basis_of_degree, commutator, phi_element
 from xnalg.scalars import CycloField, PolyRing, QPoly
 
-from oracles import brute_relation_residual
+from oracles import brute_relation_residual, product_chain_relation_residual
 
 
 def _random_aut(rng, ctx, units):
@@ -250,6 +250,56 @@ def test_relation_residual_against_brute_expansion():
     for d, lam in ((partial_l(ctx, 2), 1), (ad_phi(ctx.monomial(1, 1), twist), Fraction(-2))):
         assert not relation_residual(d.dx, d.dy, d.twist)
         assert brute_relation_residual(d.dx.terms, d.dy.terms, 3, lam) == {}
+
+
+def _random_scalar(rng, field):
+    coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(max(field.degree, 1))]
+    return field.from_coeffs(coeffs)
+
+
+def _random_element(rng, ctx, terms=3):
+    lo = -3 if ctx.localized else 0
+    return Element(ctx, {
+        (rng.randint(lo, 3), rng.randint(0, 2)): _random_scalar(rng, ctx.field)
+        for _ in range(rng.randint(0, terms))
+    })
+
+
+def test_relation_residual_against_product_chain():
+    # where the word oracle cannot reach: localized inputs with negative
+    # x-exponents, and Q(zeta_n) diagonal twists with and without a shear
+    # part, against the chain of whole-element products
+    rng = random.Random(2024)
+    nonzero = 0
+    for trial in range(160):
+        order = (1, 3, 4, 5)[trial % 4]
+        field = CycloField(order)
+        N = rng.randint(2, 5)
+        ctx = AlgebraCtx(N, trial % 3 != 0, field)
+        twist = None
+        if trial % 5:
+            if order == 1:
+                lam = Fraction(rng.choice([-3, -1, 2, 3]), rng.choice([1, 2]))
+            else:
+                lam = field.zeta ** rng.randint(1, order - 1)
+            f = [_random_scalar(rng, field) for _ in range(rng.randint(0, 3) if trial % 2 else 0)]
+            twist = Automorphism(ctx.unlocalized(), lam, f)
+        dx, dy = _random_element(rng, ctx), _random_element(rng, ctx)
+        got = relation_residual(dx, dy, twist)
+        assert got == product_chain_relation_residual(dx, dy, twist), (ctx, dx, dy, twist)
+        nonzero += bool(got)
+    assert nonzero > 100
+    # twisted inner derivations a -> u a - phi(a) u kill the relation
+    for order in (3, 4, 5):
+        field = CycloField(order)
+        for localized in (False, True):
+            ctx = AlgebraCtx(3, localized, field)
+            for k in range(1, order):
+                f = [_random_scalar(rng, field) for _ in range(k % 2 * 2)]
+                twist = Automorphism(ctx.unlocalized(), field.zeta ** k, f)
+                d = ad_phi(_random_element(rng, ctx, terms=4), twist)
+                assert not relation_residual(d.dx, d.dy, twist)
+                assert not product_chain_relation_residual(d.dx, d.dy, twist)
 
 
 def test_partial_l_images():

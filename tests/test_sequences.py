@@ -72,6 +72,23 @@ def test_c_poly_structure():
         assert poly.const() == bernoulli(j)
 
 
+def test_c_poly_satisfies_the_pochhammer_recurrence():
+    # sum_{i<=j} (1)_{q,j+1-i}/(j+1-i)! * c_i(q)/i! = [j == 0], with the
+    # Pochhammer symbol (1)_{q,r} = prod_{s<r} (1 + s q) written out here
+    q = QPoly.gen()
+    weights = []
+    for r in range(32):
+        poch = QPoly.one()
+        for s in range(r):
+            poch = poch * (QPoly.one() + s * q)
+        weights.append(poch / math.factorial(r))
+    for j in range(31):
+        total = QPoly.zero()
+        for i in range(j + 1):
+            total = total + weights[j + 1 - i] * c_poly(i) / math.factorial(i)
+        assert total == (QPoly.one() if j == 0 else QPoly.zero()), j
+
+
 def test_gregory_nonzero():
     assert all(gregory(j) for j in range(31))
 

@@ -27,6 +27,7 @@ from .ncalg import (
     AlgebraCtx,
     CtxMismatchError,
     Element,
+    add_word,
     basis_of_degree,
     comm_move_left,
     comm_move_right,
@@ -43,7 +44,6 @@ from .maps import (
     Automorphism,
     GenDerivation,
     IllDefinedDerivationError,
-    ad_nilpotency_evidence,
     ad_phi,
     conjugator_to_diagonal,
     d_g,

@@ -203,8 +203,6 @@ def eval_expr(ast, ctx: AlgebraCtx) -> Element:
             if exp >= 0:
                 out = out * base ** exp
             else:
-                if atom[0] != "x":
-                    raise ParseError(0, "negative exponents apply only to x")
                 out = out * ctx.monomial(exp, 0)
         return out
     if kind == "num":

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .ncalg import AlgebraCtx, CtxMismatchError, Element, comm_move_left, phi_element
+from .ncalg import AlgebraCtx, CtxMismatchError, Element, add_word, phi_element
 from .scalars import SchemaError, scalar_from_json, scalar_to_json
 
 
@@ -78,11 +78,6 @@ class Automorphism:
     def is_identity(self) -> bool:
         return not self.f and self.lam == self.ctx.field.one
 
-    @property
-    def det(self):
-        """The scaling parameter; multiplicative under composition."""
-        return self.lam
-
     def f_element(self) -> Element:
         return Element(self.ctx, {(s, 0): c for s, c in enumerate(self.f) if c})
 
@@ -104,20 +99,24 @@ class Automorphism:
 
     def apply(self, a: Element) -> Element:
         """Image of an element: multiplicative extension of the generator
-        images, renormalized.  In a localized context x^{-1} -> lam^{-1} x^{-1}."""
+        images, renormalized.  In a localized context x^{-1} -> lam^{-1} x^{-1}.
+        The image of x^i y^j is lam^i x^i phi(y)^j, a shift of phi(y)^j."""
         if a.ctx != self.ctx and a.ctx != self.ctx.localize():
             raise CtxMismatchError(f"{a.ctx!r} vs {self.ctx!r}")
         ctx = a.ctx
+        k = ctx.N - 1
         y_img = self.y_image()
         if ctx.localized:
             y_img = Element(ctx, dict(y_img.terms))
         ypow = [ctx.one()]
-        out = ctx.zero()
+        out: dict = {}
         for (i, j), c in a.terms.items():
             while len(ypow) <= j:
                 ypow.append(ypow[-1] * y_img)
-            out = out + (c * self.lam_power(i)) * (ctx.monomial(i, 0) * ypow[j])
-        return out
+            ci = c * self.lam_power(i)
+            for (u, v), g in ypow[j].terms.items():
+                add_word(out, ci * g, i, 0, u, v, k)
+        return Element(ctx, out)
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other: x -> self(other(x)).  Matches the parameter-pair
@@ -231,29 +230,20 @@ def relation_residual(dx: Element, dy: Element, twist: Automorphism | None = Non
     Linear in (dx, dy).
 
     The image is dy x + phi(y) dx - dx y - lam x dy - sum_s lam^s x^s dx x^{N-1-s}.
-    Every term but phi(y) dx (phi(y) may carry a shear part f(x)) is a monomial
-    x^a (x^i y^j) x^b, written out by the integer weights of `comm_move_left`
-    into one coefficient table."""
+    Every term but phi(y) dx (phi(y) may carry a shear part f(x)) is a word
+    x^a y^j x^b y^r, added by `add_word` into one coefficient table."""
     ctx = dx.ctx
     N = ctx.N
+    k = N - 1
     lam_power, phi_y = _twist_images(ctx, twist)
     out = dict((phi_y * dx).terms)
-
-    def add(c, a, i, j, b):
-        # c x^a (x^i y^j) x^b, with y^j x^b = sum_t w_t x^{e_t} y^t
-        for w, e, t in comm_move_left(b, j, N):
-            key = (a + i + e, t)
-            v = c if w == 1 else c * w
-            acc = out.get(key)
-            out[key] = v if acc is None else acc + v
-
     for (i, j), c in dy.terms.items():
-        add(c, 0, i, j, 1)
-        add(-(lam_power(1) * c), 1, i, j, 0)
+        add_word(out, c, i, j, 1, 0, k)
+        add_word(out, -(lam_power(1) * c), 1, 0, i, j, k)
     for (i, j), c in dx.terms.items():
-        add(-c, 0, i, j + 1, 0)
+        add_word(out, -c, i, j, 0, 1, k)
         for s in range(N):
-            add(-(lam_power(s) * c), s, i, j, N - 1 - s)
+            add_word(out, -(lam_power(s) * c), s + i, j, N - 1 - s, 0, k)
     return Element(ctx, out)
 
 
@@ -310,38 +300,43 @@ class GenDerivation:
             )
 
     def apply(self, a: Element) -> Element:
-        """Value on an element, via the twisted Leibniz rule on monomials.
-        Negative x-exponents use the forced rule
-        d(x^{-1}) = -phi(x^{-1}) d(x) x^{-1}."""
+        """Value on an element, via the twisted Leibniz rule on monomials:
+
+            d(x^i y^j) = sum_{s<i} lam^s x^s dx x^{i-1-s} y^j          (i > 0)
+                       - sum_{s<-i} lam^{-s-1} x^{-s-1} dx x^{i+s} y^j  (i < 0)
+                       + lam^i x^i sum_{s<j} phi(y)^s dy y^{j-1-s},
+
+        the negative exponents by the forced rule
+        d(x^{-1}) = -phi(x^{-1}) d(x) x^{-1}.  Every word goes through
+        `add_word` into one table; only the powers of phi(y) are products."""
         self._demand()
         ctx = self.ctx
         if a.ctx != ctx:
             raise CtxMismatchError(f"{a.ctx!r} vs {ctx!r}")
+        k = ctx.N - 1
         lam_power, phi_y = _twist_images(ctx, self.twist)
+        dx, dy = self.dx.terms.items(), self.dy.terms.items()
         phi_ypow = [ctx.one()]
-        out = ctx.zero()
+        out: dict = {}
         for (i, j), c in a.terms.items():
-            part = ctx.zero()
-            if i > 0:
-                for s in range(i):
-                    part = part + lam_power(s) * (
-                        ctx.x(s) * self.dx * ctx.monomial(i - 1 - s, j)
-                    )
-            elif i < 0:
-                d_xinv = -lam_power(-1) * (ctx.x(-1) * self.dx * ctx.x(-1))
-                for s in range(-i):
-                    part = part + lam_power(-s) * (
-                        ctx.x(-s) * d_xinv * ctx.monomial(i + 1 + s, j)
-                    )
+            for s in range(i):
+                cs = c * lam_power(s)
+                for (p, q), e in dx:
+                    add_word(out, cs * e, s + p, q, i - 1 - s, j, k)
+            for s in range(-i):
+                cs = -(c * lam_power(-s - 1))
+                for (p, q), e in dx:
+                    add_word(out, cs * e, p - s - 1, q, i + s, j, k)
             if j > 0:
                 while len(phi_ypow) < j:
                     phi_ypow.append(phi_ypow[-1] * phi_y)
-                inner = ctx.zero()
+                ci = c * lam_power(i)
                 for s in range(j):
-                    inner = inner + phi_ypow[s] * self.dy * ctx.y(j - 1 - s)
-                part = part + lam_power(i) * (ctx.x(i) * inner)
-            out = out + c * part
-        return out
+                    for (u, v), g in phi_ypow[s].terms.items():
+                        cg = ci * g
+                        for (p, q), e in dy:
+                            add_word(out, cg * e, i + u, v, p, q + j - 1 - s, k)
+        return Element(ctx, out)
 
     def degree(self):
         """Degree as a homogeneous map (the x-image sits in degree l+1, the
@@ -467,12 +462,14 @@ def partial_l(ctx: AlgebraCtx, l: int) -> GenDerivation:
     if l <= 0:
         return GenDerivation(ctx, ctx.zero(), ctx.x(l + N - 1))
     i, j = decompose_degree(l, N)
-    dx = ctx.monomial(i, j)
-    dy = ctx.zero()
+    k = N - 1
+    dy: dict = {}
     for s in range(N - 1):
-        dy = dy + (s + 1) * (ctx.monomial(s + i, j) * ctx.x(N - 2 - s))
-    dy = dy + (N - i) * (ctx.x(i - 1) * phi_element(ctx, j + 1))
-    return GenDerivation(ctx, dx, dy)
+        add_word(dy, ctx.coerce(s + 1), s + i, j, N - 2 - s, 0, k)
+    scale = ctx.coerce(N - i)
+    for (u, v), c in phi_element(ctx, j + 1).terms.items():
+        add_word(dy, scale * c, i - 1, 0, u, v, k)
+    return GenDerivation(ctx, ctx.monomial(i, j), Element(ctx, dy))
 
 
 def restrict_to_algebra(d: GenDerivation) -> GenDerivation:
@@ -500,25 +497,14 @@ def is_locally_ad_nilpotent(u: Element) -> bool:
     return all(j == 0 for (_, j) in u.terms)
 
 
-def ad_nilpotency_evidence(u: Element, probe: Element, bound: int):
-    """Bounded empirical evidence for the membership predicate: the least
-    k <= bound with the k-fold bracket of u against the probe equal to zero,
-    or None if it survives the whole bound."""
-    value = probe
-    for k in range(bound + 1):
-        if not value:
-            return k
-        value = u * value - value * u
-    return None
-
-
-def conjugator_to_diagonal(aut: Automorphism, order: int) -> Automorphism | None:
-    """For an automorphism (f, lam) with lam of the given finite order, a shear
-    h with (h, 1) (f, lam) (h, 1)^{-1} = (0, lam), obtained by solving
+def conjugator_to_diagonal(aut: Automorphism) -> Automorphism | None:
+    """For an automorphism (f, lam), a shear h with
+    (h, 1) (f, lam) (h, 1)^{-1} = (0, lam), obtained by solving
     lam^{N-1} h(x) - h(lam x) = -f(x) degree by degree.
 
-    Returns None when some monomial of f sits in an obstructed degree
-    (exponent congruent to N-1 modulo the order).
+    Returns None when some monomial x^d of f sits in an obstructed degree,
+    one with lam^d = lam^{N-1} (for lam of finite order m: d congruent to
+    N-1 modulo m).
     """
     ctx = aut.ctx
     lam_n1 = aut.lam ** (ctx.N - 1)

@@ -1,15 +1,17 @@
 """Elements of the algebra A = k<x, y>/(yx - xy - x^N) and of its localization
 at the normal element x, in the normal-ordered basis {x^i y^j}.
 
-Multiplication rewrites every product into the basis using the closed
-commutation rule
+Every rewrite into the basis goes through one word kernel, `add_word`,
+the one place that applies the closed commutation rule
 
     y^j x^i = sum_t (i)_{N-1, j-t} binom(j, t) x^{i + (j-t)(N-1)} y^t,
 
 whose integer Pochhammer symbols stay valid for negative i, so localized
-arithmetic uses the same kernel.  The grading puts x in degree 1 and y in
-degree N-1; the filtration level of an element is its top y-exponent.
-Elements are immutable and operations are pure.
+arithmetic uses the same kernel.  Products, the twisted Leibniz rule and
+automorphism images all add their words x^a y^s x^b y^r through it.  The
+grading puts x in degree 1 and y in degree N-1; the filtration level of an
+element is its top y-exponent.  Elements are immutable and operations are
+pure.
 """
 
 from __future__ import annotations
@@ -105,20 +107,35 @@ def poch_int(a: int, k: int, m: int) -> int:
     return result
 
 
+def add_word(out, c, a: int, s: int, b: int, r: int, k: int):
+    """Add c x^a y^s x^b y^r, in normal form, into the coefficient table
+    `out` ((x-exponent, y-exponent) -> scalar), with k = N - 1.
+
+    The word is the sum over m of the weights (b)_{k, m} binom(s, m) times
+    x^{a+b+mk} y^{s-m+r}.  The weights are integers, built by their ratio
+    from m to m + 1; once the Pochhammer factor b + mk vanishes, so does
+    every later weight.  Exponents a and b may be negative.
+    """
+    w = 1
+    for m in range(s + 1):
+        key = (a + b + m * k, s - m + r)
+        v = c if w == 1 else c * w
+        acc = out.get(key)
+        out[key] = v if acc is None else acc + v
+        w = w * (b + m * k) * (s - m) // (m + 1)
+        if not w:
+            return
+
+
 def comm_move_left(i: int, j: int, N: int):
     """Rewrite y^j x^i in the normal-ordered basis.
 
-    Returns a list of integer-weighted monomials (coeff, xexp, yexp).  The
-    exponent i may be negative.
+    Returns a list of integer-weighted monomials (coeff, xexp, yexp) by
+    ascending yexp.  The exponent i may be negative.
     """
-    k = N - 1
-    out = []
-    for t in range(j + 1):
-        m = j - t
-        c = poch_int(i, k, m) * math.comb(j, t)
-        if c:
-            out.append((c, i + m * k, t))
-    return out
+    out: dict = {}
+    add_word(out, 1, 0, j, i, 0, N - 1)
+    return sorted(((c, e, t) for (e, t), c in out.items()), key=lambda term: term[2])
 
 
 def comm_move_right(i: int, j: int, N: int):
@@ -238,13 +255,6 @@ class Element:
         """Filtration level: the top y-exponent (-1 for the zero element)."""
         return max((j for (_, j) in self.terms), default=-1)
 
-    def homogeneous_components(self):
-        """Partition of the terms by degree, as sorted (degree, part) pairs."""
-        buckets: dict[int, dict] = {}
-        for (i, j), c in self.terms.items():
-            buckets.setdefault(self.monomial_degree(i, j), {})[(i, j)] = c
-        return [(d, Element(self.ctx, buckets[d])) for d in sorted(buckets)]
-
     # rendering and serialization
 
     def __repr__(self):
@@ -305,25 +315,14 @@ class Element:
 
 
 def normalize_product(a: Element, b: Element) -> Element:
-    """The normal-ordered product, by bilinear extension of the monomial
-    commutation rule."""
+    """The normal-ordered product, by bilinear extension of the word kernel."""
     a._check_ctx(b)
-    ctx = a.ctx
-    k = ctx.N - 1
+    k = a.ctx.N - 1
     out: dict = {}
     for (i1, j1), c1 in a.terms.items():
         for (i2, j2), c2 in b.terms.items():
-            base = c1 * c2
-            for t in range(j1 + 1):
-                m = j1 - t
-                w = poch_int(i2, k, m) * math.comb(j1, t)
-                if not w:
-                    continue
-                key = (i1 + i2 + m * k, t + j2)
-                c = base * w
-                acc = out.get(key)
-                out[key] = c if acc is None else acc + c
-    return Element(ctx, out)
+            add_word(out, c1 * c2, i1, j1, i2, j2, k)
+    return Element(a.ctx, out)
 
 
 def commutator(a: Element, b: Element) -> Element:

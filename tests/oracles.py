@@ -5,10 +5,10 @@ normalized by brute single-step rewriting with the defining relation,
 polynomial division is redone from scratch, and the action of A_x on
 k[t, 1/t] behind the residue criterion is applied term by term with t-shifts
 and derivatives, and linear algebra runs on dense rows with first-row
-pivoting, so agreement is meaningful.  The one exception is
-`product_chain_relation_residual`, which uses whole-element products on
-purpose: it reaches localized and cyclotomic inputs, where the word oracle
-`brute_relation_residual` does not.
+pivoting, so agreement is meaningful.  The exceptions are
+`product_chain_relation_residual` and `product_chain_apply`, which use
+whole-element products on purpose: they reach cyclotomic inputs, where the
+word oracles `brute_relation_residual` and `brute_apply` do not.
 """
 
 from __future__ import annotations
@@ -60,28 +60,34 @@ def monomial_word(i, j):
     return xs + ("y",) * j
 
 
-def brute_relation_residual(dx, dy, N, lam=Fraction(1), f=()):
-    """The image of yx - xy - x^N under the twisted Leibniz extension of
-    x -> dx, y -> dy with twist phi(x) = lam x, phi(y) = lam^{N-1} y + f(x).
+def brute_leibniz(words, dx, dy, N, lam=Fraction(1), f=()):
+    """The sum of c D(w) over the (word, c) pairs, where D is the twisted
+    Leibniz extension of x -> dx, y -> dy with twist phi(x) = lam x,
+    phi(y) = lam^{N-1} y + f(x); on the inverse letter X = x^{-1} it is forced
+    to d(X) = -phi(X) d(x) X with phi(X) = lam^{-1} X.
 
     dx and dy are dicts (i, j) -> coefficient over normal monomials.  Each
-    word w of the relation expands letter by letter into
-    sum_k phi(w[:k]) d(w[k]) w[k+1:] as words, which brute_normalize then
-    rewrites; the result is a dict like brute_normalize's.
+    word w expands letter by letter into sum_k phi(w[:k]) d(w[k]) w[k+1:] as
+    words, which brute_normalize then rewrites; the result is a dict like
+    brute_normalize's.
     """
+    lam = Fraction(lam)
     phi = {
-        "x": [(("x",), Fraction(lam))],
-        "y": [(("y",), Fraction(lam) ** (N - 1))]
+        "x": [(("x",), lam)],
+        "X": [(("X",), 1 / lam)],
+        "y": [(("y",), lam ** (N - 1))]
         + [(("x",) * s, Fraction(c)) for s, c in enumerate(f) if c],
     }
+    d_x = [(monomial_word(i, j), Fraction(c)) for (i, j), c in dx.items()]
     d = {
-        "x": [(monomial_word(i, j), Fraction(c)) for (i, j), c in dx.items()],
+        "x": d_x,
+        "X": [(("X",) + w + ("X",), -c / lam) for w, c in d_x],
         "y": [(monomial_word(i, j), Fraction(c)) for (i, j), c in dy.items()],
     }
 
-    def leibniz(word, sign):
+    def leibniz(word, coeff):
         for k, letter in enumerate(word):
-            prefixes = [((), Fraction(sign))]
+            prefixes = [((), Fraction(coeff))]
             for a in word[:k]:
                 prefixes = [(p + w, c * e) for p, c in prefixes for w, e in phi[a]]
             for p, c in prefixes:
@@ -89,11 +95,36 @@ def brute_relation_residual(dx, dy, N, lam=Fraction(1), f=()):
                     yield p + w + word[k + 1 :], c * e
 
     total: dict = {}
-    for word, sign in ((("y", "x"), 1), (("x", "y"), -1), (("x",) * N, -1)):
-        for w, c in leibniz(word, sign):
+    for word, coeff in words:
+        for w, c in leibniz(word, coeff):
             for key, v in brute_normalize(w, N).items():
                 total[key] = total.get(key, Fraction(0)) + c * v
     return {k: v for k, v in total.items() if v}
+
+
+def brute_relation_residual(dx, dy, N, lam=Fraction(1), f=()):
+    """The image of yx - xy - x^N under the twisted Leibniz extension of
+    x -> dx, y -> dy (see brute_leibniz)."""
+    words = [(("y", "x"), 1), (("x", "y"), -1), (("x",) * N, -1)]
+    return brute_leibniz(words, dx, dy, N, lam, f)
+
+
+def brute_apply(a, dx, dy, N, lam=Fraction(1), f=()):
+    """The value on a = {(i, j): c} of the twisted derivation x -> dx,
+    y -> dy (see brute_leibniz), each monomial read as the word x^i y^j."""
+    words = [(monomial_word(i, j), c) for (i, j), c in a.items()]
+    return brute_leibniz(words, dx, dy, N, lam, f)
+
+
+def _product_chain_twist(ctx, twist):
+    """lam and phi(y) = lam^{N-1} y + f(x), built from the twist's parameters
+    (1 and y without a twist)."""
+    if twist is None:
+        return ctx.field.one, ctx.y()
+    phi_y = ctx.monomial(0, 1, twist.lam ** (ctx.N - 1))
+    for s, c in enumerate(twist.f):
+        phi_y = phi_y + ctx.monomial(s, 0, c)
+    return twist.lam, phi_y
 
 
 def product_chain_relation_residual(dx, dy, twist=None):
@@ -106,12 +137,7 @@ def product_chain_relation_residual(dx, dy, twist=None):
     parameters.  dx and dy are elements, possibly localized, over any field."""
     ctx = dx.ctx
     N = ctx.N
-    lam, phi_y = ctx.field.one, ctx.y()
-    if twist is not None:
-        lam = twist.lam
-        phi_y = ctx.monomial(0, 1, lam ** (N - 1))
-        for s, c in enumerate(twist.f):
-            phi_y = phi_y + ctx.monomial(s, 0, c)
+    lam, phi_y = _product_chain_twist(ctx, twist)
     x = ctx.x()
     value = dy * x + phi_y * dx - dx * ctx.y() - lam * (x * dy)
     lam_s = ctx.field.one
@@ -119,6 +145,40 @@ def product_chain_relation_residual(dx, dy, twist=None):
         value = value - lam_s * (ctx.x(s) * dx * ctx.x(N - 1 - s))
         lam_s = lam_s * lam
     return value
+
+
+def product_chain_apply(d, a):
+    """The value of the derivation d on the element a, as the chain of
+    whole-element normal-form products of the twisted Leibniz rule on each
+    monomial x^i y^j:
+
+        sum_{s<i} lam^s x^s dx x^{i-1-s} y^j                  (i > 0)
+        sum_{s<-i} lam^{-s} x^{-s} d(x^{-1}) x^{i+1+s} y^j    (i < 0)
+        lam^i x^i sum_{s<j} phi(y)^s dy y^{j-1-s}
+
+    with d(x^{-1}) = -lam^{-1} x^{-1} dx x^{-1}, and lam and phi(y) built from
+    the twist's parameters."""
+    ctx = d.ctx
+    lam, phi_y = _product_chain_twist(ctx, d.twist)
+    out = ctx.zero()
+    for (i, j), c in a.terms.items():
+        part = ctx.zero()
+        if i > 0:
+            for s in range(i):
+                part = part + lam ** s * (ctx.x(s) * d.dx * ctx.monomial(i - 1 - s, j))
+        elif i < 0:
+            d_xinv = -(lam ** -1) * (ctx.x(-1) * d.dx * ctx.x(-1))
+            for s in range(-i):
+                part = part + lam ** -s * (ctx.x(-s) * d_xinv * ctx.monomial(i + 1 + s, j))
+        if j > 0:
+            inner = ctx.zero()
+            phi_ys = ctx.one()
+            for s in range(j):
+                inner = inner + phi_ys * d.dy * ctx.y(j - 1 - s)
+                phi_ys = phi_ys * phi_y
+            part = part + lam ** i * (ctx.x(i) * inner)
+        out = out + c * part
+    return out
 
 
 def poly_divmod(num, den):

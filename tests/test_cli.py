@@ -38,6 +38,9 @@ def test_parse_errors():
     assert "localized" in str(info.value)
     with pytest.raises(ParseError):
         parse_expr("y^-2", AlgebraCtx(3, True))
+    with pytest.raises(ParseError) as info:
+        parse_expr("(x+y)^-1", AlgebraCtx(3, True))
+    assert "only to x" in str(info.value)
     with pytest.raises(ParseError):
         parse_expr("x +* y", ctx)
     with pytest.raises(ParseError):

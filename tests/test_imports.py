@@ -1,5 +1,6 @@
 """The package has no runtime dependencies: every module under src/xnalg
-imports only from the standard library or relative to the package."""
+imports only from the standard library or relative to the package.  And no
+module imports another one's private (underscore) names."""
 
 import ast
 import sys
@@ -24,4 +25,16 @@ def test_package_imports_only_stdlib_or_relative():
             for name in names:
                 if name.split(".")[0] not in sys.stdlib_module_names:
                     offenders.append(f"{path.name}:{node.lineno} imports {name}")
+    assert not offenders, offenders
+
+
+def test_no_private_names_imported_across_modules():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        offenders.append(f"{path.name}:{node.lineno} imports {alias.name}")
     assert not offenders, offenders

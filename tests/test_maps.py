@@ -23,7 +23,12 @@ from xnalg.maps import (
 from xnalg.ncalg import AlgebraCtx, Element, basis_of_degree, commutator, phi_element
 from xnalg.scalars import CycloField, PolyRing, QPoly
 
-from oracles import brute_relation_residual, product_chain_relation_residual
+from oracles import (
+    brute_apply,
+    brute_relation_residual,
+    product_chain_apply,
+    product_chain_relation_residual,
+)
 
 
 def _random_aut(rng, ctx, units):
@@ -105,16 +110,6 @@ def test_inverse_examples():
     f = [Fraction(1), Fraction(-2)]
     assert Automorphism.shear(ctx, f).inverse() == Automorphism.shear(ctx, [-c for c in f])
     assert sigma(ctx, Fraction(3)).inverse() == sigma(ctx, Fraction(-3))
-
-
-def test_det_is_multiplicative():
-    rng = random.Random(5)
-    ctx = AlgebraCtx(2)
-    units = [Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(3)]
-    for _ in range(20):
-        a = _random_aut(rng, ctx, units)
-        b = _random_aut(rng, ctx, units)
-        assert a.compose(b).det == a.det * b.det
 
 
 def test_aut_order():
@@ -302,6 +297,110 @@ def test_relation_residual_against_product_chain():
                 assert not product_chain_relation_residual(d.dx, d.dy, twist)
 
 
+def _nonzero_element(rng, ctx, terms=3):
+    while True:
+        a = _random_element(rng, ctx, terms)
+        if a:
+            return a
+
+
+def _twist_parameters(d):
+    if d.twist is None:
+        return Fraction(1), ()
+    return d.twist.lam, d.twist.f
+
+
+def test_apply_against_brute_expansion():
+    # standard, grading, locally nilpotent and twisted inner derivations (the
+    # twists diagonal, or diagonal with a shear part), on random elements with
+    # x-exponents down to -3, against the Leibniz rule expanded letter by
+    # letter on words and normalized by rewriting
+    rng = random.Random(808)
+    nonzero = 0
+    for trial in range(80):
+        N = rng.randint(2, 4)
+        ctx = AlgebraCtx(N)
+        localized = trial % 3 != 0
+        kind = trial % 4
+        if kind == 0:
+            d = partial_l(ctx, rng.randint(-N + 1, 3))
+        elif kind == 1:
+            d = grading_derivation(ctx)
+        elif kind == 2:
+            d = d_g(ctx, [_random_scalar(rng, ctx.field) for _ in range(rng.randint(1, 3))])
+        else:
+            lam = Fraction(rng.choice([-3, -1, 2, 3]), rng.choice([1, 2]))
+            shear = rng.randint(1, 2) if trial % 8 == 7 else 0
+            f = [_random_scalar(rng, ctx.field) for _ in range(shear)]
+            twist = Automorphism(ctx, lam, f)
+            u_ctx = ctx.localize() if localized else ctx
+            d = ad_phi(_nonzero_element(rng, u_ctx, terms=2), twist)
+        if localized and not d.ctx.localized:
+            d = d.extend_localized()
+        a = _nonzero_element(rng, d.ctx)
+        lam, f = _twist_parameters(d)
+        got = d.apply(a)
+        assert got.terms == brute_apply(a.terms, d.dx.terms, d.dy.terms, N, lam, f), (d, a)
+        nonzero += bool(got)
+    assert nonzero > 60
+
+
+def test_apply_against_product_chain():
+    # over Q and Q(zeta_n), plain and localized, untwisted, diagonal and
+    # diagonal-plus-shear twists, against the chain of whole-element products
+    rng = random.Random(1707)
+    nonzero = 0
+    for trial in range(120):
+        order = (1, 3, 4, 5)[trial % 4]
+        field = CycloField(order)
+        N = rng.randint(2, 5)
+        ctx = AlgebraCtx(N, False, field)
+        loc = ctx.localize()
+        localized = trial % 3 != 0
+        kind = trial % 5
+        if kind == 0:
+            d = partial_l(ctx, rng.randint(-N + 1, 4))
+        elif kind == 1:
+            d = d_g(ctx, [_random_scalar(rng, field) for _ in range(rng.randint(1, 3))])
+        else:
+            twist = None
+            if kind > 2:
+                if order == 1:
+                    lam = Fraction(rng.choice([-3, -1, 2, 3]), rng.choice([1, 2]))
+                else:
+                    lam = field.zeta ** rng.randint(1, order - 1)
+                shear = rng.randint(1, 3) if kind == 4 else 0
+                f = [_random_scalar(rng, field) for _ in range(shear)]
+                twist = Automorphism(ctx, lam, f)
+            d = ad_phi(_nonzero_element(rng, loc if localized else ctx), twist)
+        if localized and not d.ctx.localized:
+            d = d.extend_localized()
+        a = _nonzero_element(rng, d.ctx, terms=4)
+        got = d.apply(a)
+        assert got == product_chain_apply(d, a), (d, a)
+        nonzero += bool(got)
+    assert nonzero > 100
+
+
+def test_aut_apply_is_multiplicative():
+    # plain and localized elements over Q and Q(zeta_n), under random
+    # automorphisms with and without a shear part
+    rng = random.Random(6160)
+    for trial in range(60):
+        order = (1, 3, 4, 5)[trial % 4]
+        field = CycloField(order)
+        ctx = AlgebraCtx(rng.randint(1, 4), False, field)
+        if order == 1:
+            lam = Fraction(rng.choice([-3, -1, 2, 3]), rng.choice([1, 2]))
+        else:
+            lam = field.zeta ** rng.randint(1, order - 1)
+        f = [_random_scalar(rng, field) for _ in range(rng.randint(0, 3))]
+        aut = Automorphism(ctx, lam, f)
+        elt_ctx = ctx.localize() if trial % 3 and ctx.N >= 2 else ctx
+        a, b = _random_element(rng, elt_ctx), _random_element(rng, elt_ctx)
+        assert aut.apply(a * b) == aut.apply(a) * aut.apply(b), (aut, a, b)
+
+
 def test_partial_l_images():
     ctx = AlgebraCtx(3)
     d0 = partial_l(ctx, 0)
@@ -410,19 +509,14 @@ def test_is_locally_nilpotent():
     assert not partial_l(ctx, ctx.N - 1).is_locally_nilpotent()
 
 
-def test_locally_ad_nilpotent_membership_and_evidence():
-    from xnalg.maps import ad_nilpotency_evidence, is_locally_ad_nilpotent
+def test_locally_ad_nilpotent_membership():
+    from xnalg.maps import is_locally_ad_nilpotent
 
     ctx = AlgebraCtx(3)
     f = ctx.one() + 2 * ctx.x(2)
     assert is_locally_ad_nilpotent(f)
     assert not is_locally_ad_nilpotent(ctx.y())
     assert not is_locally_ad_nilpotent(ctx.x() + ctx.y())
-    # bounded evidence: bracketing by a polynomial kills filtration levels,
-    # bracketing by y never settles on a pure power probe
-    probe = ctx.monomial(1, 3)
-    assert ad_nilpotency_evidence(f, probe, 10) is not None
-    assert ad_nilpotency_evidence(ctx.y(), ctx.monomial(5, 1), 10) is None
 
 
 def test_degree_zero_derivation_at_n1():
@@ -463,7 +557,7 @@ def test_conjugation_normalization():
                     if (d - (N - 1)) % m != 0:
                         f[d] = Fraction(rng.randint(-3, 3))
                 aut = Automorphism(ctx, lam, f)
-                h = conjugator_to_diagonal(aut, m)
+                h = conjugator_to_diagonal(aut)
                 assert h is not None
                 assert h.compose(aut).compose(h.inverse()) == diagonal
                 assert aut.order(4 * m) == diagonal.order(4 * m)
@@ -514,7 +608,7 @@ def test_conjugation_obstructed_degrees():
     ctx = AlgebraCtx(3, False, fld)
     # exponent 2 is congruent to N-1 = 2 mod 2: obstructed
     aut = Automorphism(ctx, fld.zeta, [0, 0, 1])
-    assert conjugator_to_diagonal(aut, 2) is None
+    assert conjugator_to_diagonal(aut) is None
 
 
 def test_decompose_degree():

@@ -9,6 +9,7 @@ from xnalg.ncalg import (
     AlgebraCtx,
     CtxMismatchError,
     Element,
+    add_word,
     basis_of_degree,
     comm_move_left,
     comm_move_right,
@@ -60,6 +61,27 @@ def test_localized_products_against_rewriting_oracle():
             got = ctx.monomial(i1, j1) * ctx.monomial(i2, j2)
             want = brute_normalize(monomial_word(i1, j1) + monomial_word(i2, j2), N)
             assert _as_table(got) == want, (N, i1, j1, i2, j2)
+
+
+def test_add_word_against_rewriting_oracle():
+    # words x^a y^s x^b y^r, with negative a and b where the rewriting oracle
+    # allows them (N >= 2), added twice into one table
+    rng = random.Random(15)
+    for N in range(6):
+        lo = -3 if N >= 2 else 0
+        for _ in range(40):
+            a, b = rng.randint(lo, 3), rng.randint(lo, 3)
+            s, r = rng.randint(0, 4), rng.randint(0, 2)
+            c1 = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            c2 = Fraction(rng.choice([-1, 1]), 2)
+            table = {}
+            add_word(table, c1, a, s, b, r, N - 1)
+            add_word(table, c2, a, s, b, r, N - 1)
+            want = brute_normalize(monomial_word(a, s) + monomial_word(b, r), N)
+            got = {key: v for key, v in table.items() if v}
+            assert got == {key: (c1 + c2) * v for key, v in want.items() if c1 + c2}, (
+                N, a, s, b, r,
+            )
 
 
 def test_commutator_examples():
@@ -157,16 +179,6 @@ def test_filtration_level():
             got = ctx.y(i) * ctx.x(j)
             rest = got - ctx.monomial(j, i)
             assert not rest or rest.level() <= i - 1, (i, j)
-
-
-def test_homogeneous_components():
-    ctx = AlgebraCtx(3)
-    parts = (ctx.x() + ctx.y()).homogeneous_components()
-    assert parts == [(1, ctx.x()), (2, ctx.y())]
-    ctx2 = AlgebraCtx(2)
-    elt = ctx2.monomial(1, 1) + ctx2.monomial(2, 0)
-    assert elt.homogeneous_components() == [(2, elt)]
-    assert ctx.zero().homogeneous_components() == []
 
 
 def test_basis_of_degree():

@@ -516,9 +516,9 @@ def run_command(argv) -> CommandResult:
         return CommandResult(1, {"error": str(exc)}, f"usage error: {exc}")
     except (ParseError, SchemaError, json.JSONDecodeError) as exc:
         return CommandResult(1, {"error": str(exc)}, f"parse error: {exc}")
-    except (ValueError, ZeroDivisionError, TypeError, OSError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         return CommandResult(2, {"error": str(exc)}, f"precondition violated: {exc}")
-    except AssertionError as exc:
+    except (AssertionError, TypeError, KeyError, IndexError) as exc:
         return CommandResult(3, {"error": str(exc)}, f"internal invariant breach: {exc}")
     if ns.json:
         return CommandResult(0, payload, json.dumps(payload, indent=2, sort_keys=True))

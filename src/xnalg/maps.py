@@ -423,12 +423,20 @@ class GenDerivation:
 
 def ad_phi(u: Element, twist: Automorphism | None = None) -> GenDerivation:
     """The inner twisted derivation a -> u a - phi(a) u, restricted to its
-    generator images.  Always well defined."""
+    generator images x -> u x - lam x u and y -> u y - phi(y) u.  Always well
+    defined.  Every term but phi(y) u (phi(y) may carry a shear part f(x)) is
+    a word added by `add_word` into one coefficient table per image."""
     ctx = u.ctx
+    k = ctx.N - 1
     lam_power, phi_y = _twist_images(ctx, twist)
-    dx = u * ctx.x() - ctx.monomial(1, 0, lam_power(1)) * u
-    dy = u * ctx.y() - phi_y * u
-    d = GenDerivation(ctx, dx, dy, twist)
+    lam = lam_power(1)
+    dx: dict = {}
+    dy = dict((-(phi_y * u)).terms)
+    for (i, j), c in u.terms.items():
+        add_word(dx, c, i, j, 1, 0, k)
+        add_word(dx, -(lam * c), 1, 0, i, j, k)
+        add_word(dy, c, i, j, 0, 1, k)
+    d = GenDerivation(ctx, Element(ctx, dx), Element(ctx, dy), twist)
     d._well_defined = True
     return d
 

@@ -31,6 +31,11 @@ from .scalars import (
 from .sequences import c_eval, falling_binomial
 
 
+# the scalar types some coefficient ring accepts; anything else leaves the
+# product to the other operand
+_SCALAR_TYPES = (int, Fraction, CycloScalar, QPoly)
+
+
 class CtxMismatchError(ValueError):
     """Two elements from different algebra contexts met in one operation."""
 
@@ -99,14 +104,6 @@ class AlgebraCtx:
             raise ValueError("negative x-exponents need a localized context")
 
 
-def poch_int(a: int, k: int, m: int) -> int:
-    """Integer Pochhammer symbol a (a+k) (a+2k) ... (a+(m-1)k)."""
-    result = 1
-    for s in range(m):
-        result *= a + s * k
-    return result
-
-
 def add_word(out, c, a: int, s: int, b: int, r: int, k: int):
     """Add c x^a y^s x^b y^r, in normal form, into the coefficient table
     `out` ((x-exponent, y-exponent) -> scalar), with k = N - 1.
@@ -142,12 +139,17 @@ def comm_move_right(i: int, j: int, N: int):
     """Rewrite x^i y^j as a combination of words x^a y^t x^i.
 
     Returns a list of (coeff, a, t); the trailing factor x^i is implicit.
+    The coefficient of x^{mk} y^{j-m} x^i (k = N - 1) is the integer
+    Pochhammer symbol (-i)_{k, m} = (-i)(-i+k)...(-i+(m-1)k) times
+    binom(j, m).
     """
     k = N - 1
     out = []
     for t in range(j + 1):
         m = j - t
-        c = poch_int(-i, k, m) * math.comb(j, t)
+        c = math.comb(j, t)
+        for s in range(m):
+            c *= s * k - i
         if c:
             out.append((c, m * k, t))
     return out
@@ -216,17 +218,15 @@ class Element:
         if isinstance(other, Element):
             self._check_ctx(other)
             return normalize_product(self, other)
-        try:
-            c = self.ctx.coerce(other)
-        except TypeError:
+        if not isinstance(other, _SCALAR_TYPES):
             return NotImplemented
+        c = self.ctx.coerce(other)
         return Element(self.ctx, {key: v * c for key, v in self.terms.items()})
 
     def __rmul__(self, other):
-        try:
-            c = self.ctx.coerce(other)
-        except TypeError:
+        if not isinstance(other, _SCALAR_TYPES):
             return NotImplemented
+        c = self.ctx.coerce(other)
         return Element(self.ctx, {key: c * v for key, v in self.terms.items()})
 
     def __truediv__(self, other):
@@ -263,7 +263,7 @@ class Element:
     def to_json(self):
         field = self.ctx.field
         if not isinstance(field, CycloField):
-            raise TypeError("only cyclotomic-field elements serialize to JSON")
+            raise ValueError("only cyclotomic-field elements serialize to JSON")
         return {
             "N": self.ctx.N,
             "localized": self.ctx.localized,

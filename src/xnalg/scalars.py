@@ -6,10 +6,23 @@ denominator).  A cyclotomic field Q(zeta_n) is represented by residues modulo
 the n-th cyclotomic polynomial; Q is identified with Q(zeta_1), so every
 consumer is written against one field interface.  All values are immutable and
 all operations are pure.
+
+Cyclotomic arithmetic pays only for what its operands need.  The modulus
+Phi_n is monic with integer coefficients, so the residues of q^d .. q^{2d-2}
+(d = euler_phi(n)) are integer vectors; each field computes them once, as its
+fold table.  A product with a rational operand (an int, a Fraction or a
+scalar whose coordinates after the first are zero) scales the coordinates of
+the other; any other product multiplies integer numerators over a common
+denominator, folds the high part through the table and divides once per
+coordinate.  Adding a rational changes coordinate 0 only.  A rational value
+is inverted by one Fraction division; any other value a by solving a x = 1 on
+the integer matrix whose columns are the numerators of a zeta^k, with
+fraction-free (Bareiss) Gauss-Jordan elimination.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -271,7 +284,7 @@ class CycloField:
     ``Fraction`` values; higher orders use :class:`CycloScalar` residues.
     """
 
-    __slots__ = ("order", "modulus", "degree")
+    __slots__ = ("order", "modulus", "degree", "fold")
     _instances: dict[int, "CycloField"] = {}
 
     def __new__(cls, order: int):
@@ -282,7 +295,12 @@ class CycloField:
             inst = super().__new__(cls)
             inst.order = order
             inst.modulus = cyclotomic_polynomial(order)
-            inst.degree = inst.modulus.degree()
+            inst.degree = d = inst.modulus.degree()
+            # fold[e - d]: the integer residue of q^e, d <= e <= 2d - 2
+            fold = [tuple(-int(c) for c in inst.modulus.coeffs[:d])]
+            while len(fold) < d - 1:
+                fold.append(tuple(_times_zeta(fold[-1], fold[0])))
+            inst.fold = tuple(fold[: d - 1])
             cls._instances[order] = inst
         return inst
 
@@ -342,7 +360,20 @@ class CycloField:
                 return _as_fraction(value)
             coeffs = (_as_fraction(value),) + (Fraction(0),) * (self.degree - 1)
             return CycloScalar(self, coeffs)
-        raise TypeError(f"cannot coerce {value!r} into {self!r}")
+        raise ValueError(f"cannot coerce {value!r} into {self!r}")
+
+
+def _times_zeta(vec, low):
+    """The residue vector of zeta times `vec`, where `low` is the residue of
+    q^d: shift up one place and fold the top coordinate through `low`."""
+    top = vec[-1]
+    return [top * low[0]] + [c + top * m for c, m in zip(vec, low[1:])]
+
+
+def _numerators(coeffs):
+    """Integer numerators over one common denominator: (nums, den)."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def cyclo_primitive_root(n: int):
@@ -390,6 +421,8 @@ class CycloScalar:
         return CycloScalar(self.field, tuple(-c for c in self.coeffs))
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return CycloScalar(self.field, (self.coeffs[0] + other,) + self.coeffs[1:])
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -398,6 +431,8 @@ class CycloScalar:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return CycloScalar(self.field, (self.coeffs[0] - other,) + self.coeffs[1:])
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -407,35 +442,67 @@ class CycloScalar:
         return (-self) + other
 
     def __mul__(self, other):
+        a = self.coeffs
+        if isinstance(other, (int, Fraction)):
+            return CycloScalar(self.field, tuple(c * other if c else c for c in a))
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * (2 * len(a) - 1)
-        for i, ca in enumerate(a):
-            if not ca:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return CycloScalar(self.field, self.field._reduce(out))
+        b = other.coeffs
+        if not any(b[1:]):
+            r = b[0]
+            return CycloScalar(self.field, tuple(c * r if c else c for c in a))
+        if not any(a[1:]):
+            r = a[0]
+            return CycloScalar(self.field, tuple(c * r if c else c for c in b))
+        na, da = _numerators(a)
+        nb, db = _numerators(b)
+        d = len(a)
+        out = [0] * (2 * d - 1)
+        for i, ca in enumerate(na):
+            if ca:
+                for j, cb in enumerate(nb):
+                    out[i + j] += ca * cb
+        for e, row in enumerate(self.field.fold, d):
+            top = out[e]
+            if top:
+                for i, m in enumerate(row):
+                    out[i] += top * m
+        den = da * db
+        return CycloScalar(self.field, tuple(Fraction(n, den) for n in out[:d]))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Multiplicative inverse via the extended Euclid algorithm modulo the
-        cyclotomic polynomial (which is irreducible over Q)."""
-        if not self:
-            raise ZeroDivisionError("inverse of zero")
-        r0, r1 = self.field.modulus, QPoly(self.coeffs)
-        s0, s1 = QPoly.zero(), QPoly.one()
-        while r1:
-            quo, rem = divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, s0 - quo * s1
-        if r0.degree() != 0:
-            raise AssertionError("cyclotomic modulus is not coprime to a nonzero residue")
-        inv = s0 / r0.const()
-        return CycloScalar(self.field, self.field._reduce(inv.coeffs))
+        """Multiplicative inverse.  With a = na / D over integers, a^{-1} is
+        D x for the solution x of the integer system sum_k x_k (na zeta^k) = 1,
+        solved by fraction-free Gauss-Jordan elimination (Bareiss): every
+        entry stays an integer minor, each division is exact, and at the end
+        the matrix is det * I and the right-hand side det * x."""
+        a = self.coeffs
+        if not any(a[1:]):
+            if not a[0]:
+                raise ZeroDivisionError("inverse of zero")
+            return CycloScalar(self.field, (1 / a[0],) + a[1:])
+        col, dn = _numerators(a)
+        d = len(a)
+        cols = [col]
+        for _ in range(d - 1):
+            cols.append(_times_zeta(cols[-1], self.field.fold[0]))
+        rows = [[cols[k][i] for k in range(d)] + [int(i == 0)] for i in range(d)]
+        prev = 1
+        for k in range(d):
+            p = next(i for i in range(k, d) if rows[i][k])
+            rows[k], rows[p] = rows[p], rows[k]
+            pivot = rows[k]
+            pk = pivot[k]
+            for i in range(d):
+                if i != k:
+                    row = rows[i]
+                    f = row[k]
+                    rows[i] = [(pk * r - f * v) // prev for r, v in zip(row, pivot)]
+            prev = pk
+        return CycloScalar(self.field, tuple(Fraction(dn * row[d], prev) for row in rows))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -489,7 +556,7 @@ class PolyRing:
             return value
         if isinstance(value, (int, Fraction)):
             return QPoly((value,))
-        raise TypeError(f"cannot coerce {value!r} into Q[T]")
+        raise ValueError(f"cannot coerce {value!r} into Q[T]")
 
 
 def rational_to_json(value: Fraction) -> str:
@@ -520,7 +587,7 @@ def scalar_to_json(value):
             "order": value.field.order,
             "coeffs": [rational_to_json(c) for c in value.coeffs],
         }
-    raise TypeError(f"not a serializable scalar: {value!r}")
+    raise ValueError(f"not a serializable scalar: {value!r}")
 
 
 def scalar_from_json(data, field: CycloField, path="coeff"):

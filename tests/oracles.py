@@ -6,9 +6,15 @@ polynomial division is redone from scratch, and the action of A_x on
 k[t, 1/t] behind the residue criterion is applied term by term with t-shifts
 and derivatives, and linear algebra runs on dense rows with first-row
 pivoting, so agreement is meaningful.  The exceptions are
-`product_chain_relation_residual` and `product_chain_apply`, which use
-whole-element products on purpose: they reach cyclotomic inputs, where the
-word oracles `brute_relation_residual` and `brute_apply` do not.
+`product_chain_relation_residual`, `product_chain_apply` and
+`product_chain_ad_phi`, which use whole-element products on purpose: they
+reach cyclotomic inputs, where the word oracles `brute_relation_residual` and
+`brute_apply` do not.  The cyclotomic scalar oracles (`cyclo_reduce`,
+`schoolbook_mul`, `euclid_inverse`) compute with Fraction coordinates,
+schoolbook products, long division and the extended Euclid algorithm,
+independently of the package's integer fold table and fraction-free inverse.
+This module imports nothing from the package, so it also loads where the
+package is not importable.
 """
 
 from __future__ import annotations
@@ -147,6 +153,18 @@ def product_chain_relation_residual(dx, dy, twist=None):
     return value
 
 
+def product_chain_ad_phi(u, twist=None):
+    """The generator images (dx, dy) of the inner twisted derivation
+    a -> u a - phi(a) u, as the whole-element normal-form products
+
+        dx = u x - lam x u,    dy = u y - phi(y) u
+
+    with lam and phi(y) built from the twist's parameters."""
+    ctx = u.ctx
+    lam, phi_y = _product_chain_twist(ctx, twist)
+    return u * ctx.x() - ctx.monomial(1, 0, lam) * u, u * ctx.y() - phi_y * u
+
+
 def product_chain_apply(d, a):
     """The value of the derivation d on the element a, as the chain of
     whole-element normal-form products of the twisted Leibniz rule on each
@@ -199,6 +217,60 @@ def poly_divmod(num, den):
     while num and not num[-1]:
         num.pop()
     return quo, num
+
+
+def cyclo_reduce(field, coeffs):
+    """Reduce an ascending coefficient list modulo the cyclotomic polynomial
+    of `field` by Fraction long division; a tuple of field.degree
+    coordinates."""
+    rem = [Fraction(c) for c in coeffs]
+    mod = field.modulus.coeffs
+    dy = field.degree
+    for k in range(len(rem) - dy - 1, -1, -1):
+        c = rem[k + dy]
+        if c:
+            for j, b in enumerate(mod):
+                rem[k + j] -= c * b
+    rem = rem[:dy]
+    rem += [Fraction(0)] * (dy - len(rem))
+    return tuple(rem)
+
+
+def schoolbook_mul(field, a, b):
+    """The product of two coordinate tuples of Q(zeta_n): the d x d Fraction
+    schoolbook product, then `cyclo_reduce`."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if not ca:
+            continue
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return cyclo_reduce(field, out)
+
+
+def euclid_inverse(field, a):
+    """The inverse of a nonzero coordinate tuple of Q(zeta_n), by the extended
+    Euclid algorithm modulo the (irreducible) cyclotomic polynomial, on
+    ascending Fraction lists with `poly_divmod`."""
+    r0 = [Fraction(c) for c in field.modulus.coeffs]
+    r1 = [Fraction(c) for c in a]
+    while r1 and not r1[-1]:
+        r1.pop()
+    if not r1:
+        raise ZeroDivisionError("inverse of zero")
+    s0, s1 = [], [Fraction(1)]
+    while r1:
+        quo, rem = poly_divmod(r0, r1)
+        r0, r1 = r1, rem
+        step = [Fraction(0)] * max(len(s0), len(quo) + len(s1) - 1)
+        step[: len(s0)] = s0
+        for i, cq in enumerate(quo):
+            for j, cs in enumerate(s1):
+                step[i + j] -= cq * cs
+        s0, s1 = s1, step
+    if len(r0) != 1:
+        raise AssertionError("cyclotomic modulus is not coprime to a nonzero residue")
+    return cyclo_reduce(field, [c / r0[0] for c in s0])
 
 
 def column_rank(rows, ncols):

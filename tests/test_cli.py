@@ -8,7 +8,7 @@ from xnalg import cohomology
 from xnalg.cli import CommandResult, ParseError, eval_expr, parse_expr, run_command
 from xnalg.maps import partial_l
 from xnalg.ncalg import AlgebraCtx, Element, render_element
-from xnalg.scalars import CycloField
+from xnalg.scalars import CycloField, CycloScalar, scalar_to_json
 
 
 def _eval(src, ctx):
@@ -226,6 +226,38 @@ def test_cli_exit_codes():
     # a missing input file exits 2 (malformed documents: test_cli_schema_error)
     result = run_command(["inner", "--file", "/nonexistent/never.json"])
     assert result.status == 2
+
+
+def test_cli_kernel_faults_exit_3(monkeypatch):
+    # a TypeError, KeyError or IndexError raised inside the kernel is a broken
+    # invariant (exit 3), not a user error (exit 2)
+    argv = ["hh", "--N", "3", "--from", "0", "--to", "2", "--twist-order", "3", "--json"]
+    assert run_command(argv).status == 0
+
+    def faulty_mul(self, other):
+        raise TypeError("injected kernel fault")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CycloScalar, "__mul__", faulty_mul)
+        patch.setattr(CycloScalar, "__rmul__", faulty_mul)
+        result = run_command(argv)
+    assert result.status == 3
+    assert result.payload == {"error": "injected kernel fault"}
+    assert result.text == "internal invariant breach: injected kernel fault"
+    for exc in (KeyError, IndexError):
+        def faulty_slice(ctx, l, omega=None, exc=exc):
+            raise exc("injected")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cohomology, "build_slice", faulty_slice)
+            assert run_command(argv).status == 3, exc
+    assert run_command(argv).status == 0
+    # the user-reachable coercion and serialization refusals stay exit-2
+    # ValueErrors with their messages
+    with pytest.raises(ValueError, match="cannot coerce"):
+        CycloField(3).coerce(0.5)
+    with pytest.raises(ValueError, match="not a serializable scalar"):
+        scalar_to_json(0.5)
 
 
 def test_cli_hh_builds_each_slice_once(monkeypatch):

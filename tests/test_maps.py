@@ -26,6 +26,7 @@ from xnalg.scalars import CycloField, PolyRing, QPoly
 from oracles import (
     brute_apply,
     brute_relation_residual,
+    product_chain_ad_phi,
     product_chain_apply,
     product_chain_relation_residual,
 )
@@ -379,6 +380,35 @@ def test_apply_against_product_chain():
         got = d.apply(a)
         assert got == product_chain_apply(d, a), (d, a)
         nonzero += bool(got)
+    assert nonzero > 100
+
+
+def test_ad_phi_against_product_chain():
+    # over Q and Q(zeta_n), plain and localized, untwisted, diagonal and
+    # diagonal-plus-shear twists, single monomials and sums, against the four
+    # whole-element products u x - lam x u and u y - phi(y) u
+    rng = random.Random(9090)
+    nonzero = 0
+    for trial in range(160):
+        order = (1, 3, 4, 5)[trial % 4]
+        field = CycloField(order)
+        N = rng.randint(2, 5)
+        ctx = AlgebraCtx(N, False, field)
+        kind = trial % 3
+        twist = None
+        if kind:
+            if order == 1:
+                lam = Fraction(rng.choice([-3, -1, 2, 3]), rng.choice([1, 2]))
+            else:
+                lam = field.zeta ** rng.randint(1, order - 1)
+            shear = rng.randint(1, 3) if kind == 2 else 0
+            twist = Automorphism(ctx, lam, [_random_scalar(rng, field) for _ in range(shear)])
+        u_ctx = ctx.localize() if trial % 5 in (1, 3) else ctx
+        u = _nonzero_element(rng, u_ctx, terms=1 if trial % 2 else 4)
+        d = ad_phi(u, twist)
+        assert (d.dx, d.dy) == product_chain_ad_phi(u, twist), (u, twist)
+        assert d.ctx == u_ctx and d.twist in (None, twist)
+        nonzero += bool(d.dx or d.dy)
     assert nonzero > 100
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from xnalg.scalars import (
     CycloField,
+    CycloScalar,
     FieldMismatchError,
     QPoly,
     SchemaError,
@@ -17,7 +18,7 @@ from xnalg.scalars import (
 )
 from xnalg.sequences import bernoulli
 
-from oracles import poly_divmod
+from oracles import cyclo_reduce, euclid_inverse, poly_divmod, schoolbook_mul
 from polys import MPoly, TruncSeries, series_from_coeff_rule
 
 
@@ -113,6 +114,67 @@ def test_scalar_arith_examples():
                 prod[i + j] += ca * cb
     _, rem = poly_divmod(prod, cyclotomic_polynomial(3).coeffs)
     assert lhs == field.from_coeffs(rem)
+
+
+def test_cyclo_arithmetic_against_schoolbook_and_euclid():
+    # every operand kind on both sides - general, rational-valued, zero, int
+    # and Fraction - against the Fraction schoolbook product with long
+    # division by the modulus and the extended Euclid inverse, over degree 1
+    # (n = 2), prime and composite orders
+    rng = random.Random(90210)
+    for n in (2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16):
+        field = CycloField(n)
+        d = field.degree
+
+        def rational():
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+        def operand(kind):
+            if kind == "general":
+                coords = [rational() if rng.random() < 0.8 else Fraction(0) for _ in range(d)]
+                coords[-1] = coords[-1] or Fraction(1, 3)
+                return field.from_coeffs(coords)
+            if kind == "rational":
+                return field.coerce(rational())
+            if kind == "zero":
+                return field.zero
+            if kind == "int":
+                return rng.randint(-7, 7)
+            return rational()
+
+        def coords(value):
+            if isinstance(value, CycloScalar):
+                return value.coeffs
+            return cyclo_reduce(field, [value])
+
+        def check(got, want):
+            assert isinstance(got, CycloScalar) and got.field is field
+            assert got.coeffs == tuple(want), (n, got, want)
+            assert all(type(c) is Fraction for c in got.coeffs), got
+            if not any(got.coeffs[1:]):
+                assert hash(got) == hash(got.coeffs[0])
+
+        kinds = ("general", "rational", "zero", "int", "fraction")
+        for _ in range(12):
+            for left in kinds:
+                for right in kinds:
+                    if left in ("int", "fraction") and right in ("int", "fraction"):
+                        continue
+                    a, b = operand(left), operand(right)
+                    ca, cb = coords(a), coords(b)
+                    check(a * b, schoolbook_mul(field, ca, cb))
+                    check(a + b, [x + y for x, y in zip(ca, cb)])
+                    check(a - b, [x - y for x, y in zip(ca, cb)])
+                    if any(cb):
+                        check(a / b, schoolbook_mul(field, ca, euclid_inverse(field, cb)))
+                    else:
+                        with pytest.raises(ZeroDivisionError):
+                            a / b
+            a = operand(rng.choice(("general", "rational")))
+            if a:
+                check(a.inverse(), euclid_inverse(field, a.coeffs))
+            with pytest.raises(ZeroDivisionError):
+                field.zero.inverse()
 
 
 def test_equal_scalars_hash_alike():

@@ -28,7 +28,7 @@ from .cohomology import (
 )
 from .maps import Automorphism, GenDerivation
 from .ncalg import AlgebraCtx, Element, laguerre_identity_check, phi_element, render_element
-from .scalars import CycloField, SchemaError, scalar_to_json
+from .scalars import CycloField, SchemaError, rational_to_json, scalar_to_json
 from .sequences import bernoulli, c_poly, gregory
 
 
@@ -230,9 +230,18 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpRequested(Exception):
+    pass
+
+
 class _CliParser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+    def print_help(self, file=None):
+        # the help action prints and then exits the interpreter; hand the
+        # text back to run_command instead
+        raise _HelpRequested(self.format_help())
 
 
 def _ctx_from(ns) -> AlgebraCtx:
@@ -259,18 +268,13 @@ def _cmd_cseq(ns):
     payload = {
         "j": ns.j,
         "poly": poly.format(),
-        "coeffs": [f"{c.numerator}/{c.denominator}" for c in poly.coeffs],
+        "coeffs": [rational_to_json(c) for c in poly.coeffs],
     }
     return payload, poly.format()
 
 
-def _cmd_bern(ns):
-    value = bernoulli(ns.n)
-    return {"n": ns.n, "value": scalar_to_json(value)}, str(value)
-
-
-def _cmd_greg(ns):
-    value = gregory(ns.n)
+def _cmd_number(ns):
+    value = ns.sequence(ns.n)
     return {"n": ns.n, "value": scalar_to_json(value)}, str(value)
 
 
@@ -429,13 +433,13 @@ def _build_parser():
     p.add_argument("--j", type=int, required=True)
     p.set_defaults(handler=_cmd_cseq)
 
-    for name, handler, blurb in (
-        ("bern", _cmd_bern, "Bernoulli number"),
-        ("greg", _cmd_greg, "Gregory coefficient"),
+    for name, sequence, blurb in (
+        ("bern", bernoulli, "Bernoulli number"),
+        ("greg", gregory, "Gregory coefficient"),
     ):
         p = sub.add_parser(name, help=blurb)
         p.add_argument("--n", type=int, required=True)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=_cmd_number, sequence=sequence)
 
     p = sub.add_parser("phi", help="the degree-j(N-1) element with bracket x^N y^{j-1}")
     p.add_argument("--j", type=int, required=True)
@@ -508,6 +512,9 @@ def run_command(argv) -> CommandResult:
         ns = parser.parse_args(argv)
     except _UsageError as exc:
         return CommandResult(1, {"error": str(exc)}, f"usage error: {exc}")
+    except _HelpRequested as exc:
+        text = str(exc).rstrip("\n")
+        return CommandResult(0, {"help": text}, text)
     try:
         if hasattr(ns, "lo") and ns.lo > ns.hi:
             raise ValueError(f"empty degree window: --from {ns.lo} is above --to {ns.hi}")

@@ -52,17 +52,37 @@ def _matrix(columns, bases):
     return rows
 
 
-def _solve_in_span(target, columns, field):
-    """Coefficients writing the element tuple `target` as a combination of
-    the element tuples `columns`, free coordinates pinned to zero; None when
-    `target` is outside their span.  Rows run over the monomials that occur."""
+def _inner_decomposition(target, reps, candidates, twist=None):
+    """Write the derivation `target` as sum_k c_k reps[k] + ad_phi(u, twist)
+    with u spanned by the monomials `candidates`, free coordinates pinned to
+    zero.  Returns (coefficients c_k, witness u), or None when `target` is
+    outside the span.  The witness is re-applied to the residual before it is
+    returned."""
+    ctx = target.ctx
+    columns = [(rep.dx, rep.dy) for rep in reps]
+    for mono in candidates:
+        w = ad_phi(ctx.monomial(*mono), twist)
+        columns.append((w.dx, w.dy))
+    goal = (target.dx, target.dy)
     bases = [
-        sorted({key for elts in (target, *columns) for key in elts[b].terms})
-        for b in range(len(target))
+        sorted({key for elts in (goal, *columns) for key in elts[b].terms})
+        for b in range(2)
     ]
-    rows = _matrix([*columns, target], bases)
-    rhs = [row.pop(len(columns), field.zero) for row in rows]
-    return linalg.solve(rows, rhs, len(columns), field)
+    rows = _matrix([*columns, goal], bases)
+    rhs = [row.pop(len(columns), ctx.field.zero) for row in rows]
+    sol = linalg.solve(rows, rhs, len(columns), ctx.field)
+    if sol is None:
+        return None
+    coeffs = sol[: len(reps)]
+    witness = Element(ctx, {mono: c for mono, c in zip(candidates, sol[len(reps) :]) if c})
+    residual_dx, residual_dy = target.dx, target.dy
+    for c, rep in zip(coeffs, reps):
+        residual_dx = residual_dx - c * rep.dx
+        residual_dy = residual_dy - c * rep.dy
+    check = ad_phi(witness, twist)
+    if check.dx != residual_dx or check.dy != residual_dy:
+        raise AssertionError("inner witness fails to reproduce the derivation")
+    return coeffs, witness
 
 
 @dataclass
@@ -264,19 +284,8 @@ def is_inner(d: GenDerivation, i_min=None):
     l = d.degree()
     if l is None:
         return ctx.zero()
-    candidates = basis_of_degree(ctx, l, i_min)
-    columns = []
-    for mono in candidates:
-        w = ad_phi(ctx.monomial(*mono), d.twist)
-        columns.append((w.dx, w.dy))
-    sol = _solve_in_span((d.dx, d.dy), columns, ctx.field)
-    if sol is None:
-        return None
-    witness = Element(ctx, {mono: c for mono, c in zip(candidates, sol) if c})
-    check = ad_phi(witness, d.twist)
-    if check.dx != d.dx or check.dy != d.dy:
-        raise AssertionError("inner witness fails to reproduce the derivation")
-    return witness
+    found = _inner_decomposition(d, [], basis_of_degree(ctx, l, i_min), d.twist)
+    return None if found is None else found[1]
 
 
 def standard_derivation(ctx: AlgebraCtx, k: int) -> GenDerivation:
@@ -387,41 +396,22 @@ def bracket_table(ctx: AlgebraCtx, l: int, m: int) -> BracketResult:
     b = standard_derivation(ctx, l).bracket(standard_derivation(ctx, m))
     n = l + m
 
-    unknown_reps = []
+    reps = []
     if n >= -N + 1:
-        unknown_reps.append(standard_derivation(ctx, n))
+        reps.append(standard_derivation(ctx, n))
         if n == 0:
-            unknown_reps.append(partial_l(ctx, 0))
-    candidates = basis_of_degree(ctx, n) if n >= 0 else []
-    columns = [(rep.dx, rep.dy) for rep in unknown_reps]
-    for mono in candidates:
-        w = ad_phi(ctx.monomial(*mono))
-        columns.append((w.dx, w.dy))
-    sol = _solve_in_span((b.dx, b.dy), columns, ctx.field)
+            reps.append(partial_l(ctx, 0))
+    found = _inner_decomposition(b, reps, basis_of_degree(ctx, n) if n >= 0 else [])
 
     expected = expected_partial_bracket(N, l, m)
     l_expected = expected_l_bracket(N, l, m)
-    if sol is None:
+    if found is None:
         return BracketResult(
             N, l, m, n, None, None, None, expected, False, None, l_expected, False
         )
-
-    offset = len(unknown_reps)
-    coeff = sol[0] if offset >= 1 else ctx.field.zero
-    center = sol[1] if offset == 2 else None
-    witness = Element(
-        ctx, {mono: c for mono, c in zip(candidates, sol[offset:]) if c}
-    )
-    residual_dx = b.dx - sum(
-        (sol[k] * rep.dx for k, rep in enumerate(unknown_reps)), ctx.zero()
-    )
-    residual_dy = b.dy - sum(
-        (sol[k] * rep.dy for k, rep in enumerate(unknown_reps)), ctx.zero()
-    )
-    check = ad_phi(witness)
-    if check.dx != residual_dx or check.dy != residual_dy:
-        raise AssertionError("bracket witness fails to reproduce the residual")
-
+    coeffs, witness = found
+    coeff = coeffs[0] if coeffs else ctx.field.zero
+    center = coeffs[1] if len(coeffs) == 2 else None
     match = coeff == expected and (center is None or not center)
     if n >= -N + 1:
         l_computed = _l_scale(N, l) * _l_scale(N, m) * coeff / _l_scale(N, n)

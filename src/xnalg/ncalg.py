@@ -223,11 +223,7 @@ class Element:
         c = self.ctx.coerce(other)
         return Element(self.ctx, {key: v * c for key, v in self.terms.items()})
 
-    def __rmul__(self, other):
-        if not isinstance(other, _SCALAR_TYPES):
-            return NotImplemented
-        c = self.ctx.coerce(other)
-        return Element(self.ctx, {key: c * v for key, v in self.terms.items()})
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         c = self.ctx.coerce(other)

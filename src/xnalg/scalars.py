@@ -328,22 +328,10 @@ class CycloField:
             return Fraction(1)
         return self.from_coeffs((0, 1))
 
-    def _reduce(self, coeffs):
-        """Reduce an ascending coefficient list modulo the cyclotomic polynomial."""
-        rem = [_as_fraction(c) for c in coeffs]
-        mod = self.modulus.coeffs
-        dy = self.degree
-        for k in range(len(rem) - dy - 1, -1, -1):
-            c = rem[k + dy]
-            if c:
-                for j, b in enumerate(mod):
-                    rem[k + j] -= c * b
-        rem = rem[:dy]
-        rem += [Fraction(0)] * (dy - len(rem))
-        return tuple(rem)
-
     def from_coeffs(self, coeffs):
-        reduced = self._reduce(coeffs)
+        """The class of the polynomial with ascending coefficients `coeffs`."""
+        _, rem = divmod(QPoly(coeffs), self.modulus)
+        reduced = rem.coeffs + (Fraction(0),) * (self.degree - len(rem.coeffs))
         if self.order == 1:
             return reduced[0]
         return CycloScalar(self, reduced)

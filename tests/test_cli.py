@@ -1,3 +1,5 @@
+import argparse
+import io
 import json
 import random
 from fractions import Fraction
@@ -5,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from xnalg import cohomology
-from xnalg.cli import CommandResult, ParseError, eval_expr, parse_expr, run_command
-from xnalg.maps import partial_l
+from xnalg.cli import CommandResult, ParseError, _build_parser, eval_expr, main, parse_expr, run_command
+from xnalg.maps import Automorphism, ad_phi, partial_l
 from xnalg.ncalg import AlgebraCtx, Element, render_element
 from xnalg.scalars import CycloField, CycloScalar, scalar_to_json
 
@@ -146,8 +148,6 @@ def test_cli_inner_and_residue(tmp_path):
 
 
 def test_cli_inner_witness(tmp_path):
-    from xnalg.maps import ad_phi
-
     ctx = AlgebraCtx(3)
     d = ad_phi(ctx.x(2))
     path = tmp_path / "derivation.json"
@@ -314,3 +314,97 @@ def test_cli_phi():
     assert Element.from_json(result.payload) == (
         AlgebraCtx(2).monomial(0, 3, Fraction(1, 3)) - AlgebraCtx(2).monomial(1, 2)
     )
+
+
+def test_cli_help_returns_a_result(capsys):
+    # --help is a successful request: run_command hands the text back instead
+    # of letting argparse exit the interpreter, and main() prints exactly what
+    # argparse itself would print
+    parser = _build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for argv, owner in ((["--help"], parser), (["norm", "--help"], subparsers.choices["norm"]),
+                        (["bracket", "--N", "3", "-h"], subparsers.choices["bracket"])):
+        result = run_command(argv)
+        assert result.status == 0, argv
+        assert result.text.startswith("usage: xnalg")
+        assert result.payload == {"help": result.text}
+        assert main(argv) == 0
+        assert capsys.readouterr().out == argparse.ArgumentParser.format_help(owner)
+    # a valid request after a help request is unaffected
+    assert run_command(["norm", "y*x - x*y", "--N", "4"]).text == "x^4"
+
+
+def test_main_prints_text_and_returns_status(capsys):
+    assert main(["norm", "y*x - x*y", "--N", "4"]) == 0
+    assert capsys.readouterr().out == "x^4\n"
+    assert main(["norm", "x +* y", "--N", "2"]) == 1
+    assert capsys.readouterr().out.startswith("parse error: position 3")
+
+
+def test_cli_parse_errors_exit_1():
+    for src, message in (("2/", "expected a denominator"),
+                         ("x $ y", "unexpected character '$'"),
+                         ("x^1/2", "exponents must be integers")):
+        result = run_command(["norm", src, "--N", "2"])
+        assert result.status == 1, src
+        assert result.text == f"parse error: position 2: {message}"
+
+
+def test_cli_aut_inverse_and_usage_errors():
+    a = json.dumps({"lambda": "2/1", "f": ["1/1"]})
+    result = run_command(["aut", "inverse", "--N", "2", "--a", a])
+    assert result.status == 0
+    assert result.payload == {"lambda": "1/2", "f": ["-1/2"]}
+    identity = run_command(["aut", "compose", "--N", "2", "--a", a, "--b", json.dumps(result.payload)])
+    assert identity.payload == Automorphism.identity(AlgebraCtx(2)).to_json()
+    for argv, message in ((["compose", "--a", a], "compose needs --a and --b"),
+                          (["inverse"], "inverse needs --a"),
+                          (["order"], "order needs --a"),
+                          (["apply", "--a", a], "apply needs --a and --expr"),
+                          (["apply", "--expr", "y"], "apply needs --a and --expr")):
+        result = run_command(["aut", *argv, "--N", "2"])
+        assert result.status == 1, argv
+        assert result.text == f"usage error: {message}"
+
+
+def test_cli_inner_reads_stdin(monkeypatch):
+    ctx = AlgebraCtx(3)
+    document = json.dumps(ad_phi(ctx.x(2)).to_json())
+    monkeypatch.setattr("sys.stdin", io.StringIO(document))
+    result = run_command(["inner", "--json"])
+    assert result.status == 0
+    assert Element.from_json(result.payload["witness"]) == ctx.x(2)
+
+
+def test_inner_witness_recheck_fires(monkeypatch, tmp_path):
+    # a solve that returns a wrong but consistent-looking solution must be
+    # caught by re-applying the witness, in the library and as exit 3
+    real = cohomology.linalg.solve
+
+    def perturbed(rows, rhs, ncols, field):
+        sol = real(rows, rhs, ncols, field)
+        return None if sol is None else [*sol[:-1], sol[-1] + 1]
+
+    ctx = AlgebraCtx(3)
+    fld = CycloField(2)
+    ctx2 = AlgebraCtx(3, False, fld)
+    twist = Automorphism.diagonal(ctx2, fld.zeta)
+    inner = ad_phi(ctx.x(2))
+    assert cohomology.is_inner(inner) == ctx.x(2)
+    assert cohomology.is_inner(ad_phi(ctx2.x(2), twist)) == ctx2.x(2)
+    path = tmp_path / "derivation.json"
+    path.write_text(json.dumps(inner.to_json()), encoding="utf-8")
+    bracket = ["bracket", "--N", "3", "--l", "2", "--m", "3"]
+    assert run_command(bracket).status == 0
+
+    monkeypatch.setattr(cohomology.linalg, "solve", perturbed)
+    with pytest.raises(AssertionError, match="inner witness"):
+        cohomology.is_inner(inner)
+    with pytest.raises(AssertionError, match="inner witness"):
+        cohomology.is_inner(ad_phi(ctx2.x(2), twist))
+    with pytest.raises(AssertionError, match="inner witness"):
+        cohomology.bracket_table(ctx, 2, 3)
+    for argv in (["inner", "--file", str(path)], bracket):
+        result = run_command(argv)
+        assert result.status == 3, argv
+        assert result.text.startswith("internal invariant breach: inner witness")

@@ -7,7 +7,6 @@ from .scalars import (
     CycloField,
     CycloScalar,
     FieldMismatchError,
-    PolyRing,
     QPoly,
     SchemaError,
     cyclo_primitive_root,

@@ -366,13 +366,11 @@ def _cmd_aut(ns):
             raise _UsageError("order needs --a")
         k = a.order(ns.bound)
         return {"order": k}, str(k)
-    if ns.action == "apply":
-        if a is None or not ns.expr:
-            raise _UsageError("apply needs --a and --expr")
-        elt = eval_expr(parse_expr(ns.expr, ctx), ctx)
-        out = a.apply(elt)
-        return out.to_json(), render_element(out)
-    raise _UsageError(f"unknown automorphism action {ns.action!r}")
+    if a is None or not ns.expr:
+        raise _UsageError("apply needs --a and --expr")
+    elt = eval_expr(parse_expr(ns.expr, ctx), ctx)
+    out = a.apply(elt)
+    return out.to_json(), render_element(out)
 
 
 def _cmd_veronese(ns):

@@ -117,7 +117,8 @@ def build_slice(ctx: AlgebraCtx, l: int, omega=None) -> ComplexSlice:
     """Assemble the degree-l slice; `omega` twists the bimodule by the
     diagonal automorphism x -> omega x, y -> omega^{N-1} y.
 
-    The composite d1 . d0 is checked to vanish before the slice is returned.
+    The composite d1 . d0 of the returned rows is checked to vanish before
+    the slice is returned.
     """
     if ctx.N < 2:
         raise ValueError("degreewise cohomology needs N >= 2")
@@ -137,20 +138,18 @@ def build_slice(ctx: AlgebraCtx, l: int, omega=None) -> ComplexSlice:
         d = ad_phi(ctx.monomial(*mono), twist)
         d0_columns.append((d.dx, d.dy))
     d0 = _matrix(d0_columns, [basis1x, basis1y])
+    residuals = [relation_residual(ctx.monomial(*m), zero, twist) for m in basis1x]
+    residuals += [relation_residual(zero, ctx.monomial(*m), twist) for m in basis1y]
+    d1 = _matrix([(r,) for r in residuals], [basis2])
 
-    images_x = {m: relation_residual(ctx.monomial(*m), zero, twist) for m in basis1x}
-    images_y = {m: relation_residual(zero, ctx.monomial(*m), twist) for m in basis1y}
-    d1 = _matrix([(r,) for r in (*images_x.values(), *images_y.values())], [basis2])
-
-    # d1 . d0 column by column: sum_k c_k (d1 column k) over the nonzeros of
-    # each d0 column, read off the d1 column images above
-    for dx, dy in d0_columns:
+    # d1 . d0 on the rows that are ranked: row r of the product sums
+    # d1[r][mid] * d0[mid] over the nonzeros of d1 row r
+    for row in d1:
         total = {}
-        for images, part in ((images_x, dx), (images_y, dy)):
-            for mono, c in part.terms.items():
-                for key, v in images[mono].terms.items():
-                    acc = total.get(key)
-                    total[key] = c * v if acc is None else acc + c * v
+        for mid, v in row.items():
+            for col, c in d0[mid].items():
+                acc = total.get(col)
+                total[col] = c * v if acc is None else acc + c * v
         if any(total.values()):
             raise AssertionError("the slice differentials do not compose to zero")
 
@@ -245,7 +244,7 @@ def hh_reports(ctx: AlgebraCtx, lo: int, hi: int, omega=None) -> list:
         omega = ctx.coerce(omega)
         if omega != ctx.field.one:
             branch = omega ** (ctx.N - 1) == ctx.field.one
-        twist_order = getattr(ctx.field, "order", None)
+        twist_order = ctx.field.order
     rows, euler = hh_profile(ctx, lo, hi, omega)
     degrees = range(lo, hi + 1)
     euler_expected = [1 if l == -ctx.N else 0 for l in degrees]

@@ -28,7 +28,7 @@ from .scalars import (
     scalar_from_json,
     scalar_to_json,
 )
-from .sequences import c_eval, falling_binomial
+from .sequences import c_eval, laguerre_poly, pochhammer_k
 
 
 # the scalar types some coefficient ring accepts; anything else leaves the
@@ -147,9 +147,7 @@ def comm_move_right(i: int, j: int, N: int):
     out = []
     for t in range(j + 1):
         m = j - t
-        c = math.comb(j, t)
-        for s in range(m):
-            c *= s * k - i
+        c = math.comb(j, t) * pochhammer_k(-i, k, m)
         if c:
             out.append((c, m * k, t))
     return out
@@ -257,13 +255,10 @@ class Element:
         return f"Element({render_element(self)})"
 
     def to_json(self):
-        field = self.ctx.field
-        if not isinstance(field, CycloField):
-            raise ValueError("only cyclotomic-field elements serialize to JSON")
         return {
             "N": self.ctx.N,
             "localized": self.ctx.localized,
-            "field": {"cyclo_order": field.order},
+            "field": {"cyclo_order": self.ctx.field.order},
             "terms": [
                 {"xexp": i, "yexp": j, "coeff": scalar_to_json(c)}
                 for (i, j), c in self.items()
@@ -275,7 +270,8 @@ class Element:
         if not isinstance(data, dict):
             raise SchemaError(path, "expected an object")
         n = data.get("N")
-        if not isinstance(n, int) or n < 0:
+        # type(), not isinstance: a JSON true or false is no integer
+        if type(n) is not int or n < 0:
             raise SchemaError(f"{path}.N", "expected an integer >= 0")
         localized = data.get("localized", False)
         if not isinstance(localized, bool):
@@ -283,7 +279,7 @@ class Element:
         order = 1
         fld = data.get("field")
         if fld is not None:
-            if not isinstance(fld, dict) or not isinstance(fld.get("cyclo_order"), int):
+            if not isinstance(fld, dict) or type(fld.get("cyclo_order")) is not int:
                 raise SchemaError(f"{path}.field", "expected {'cyclo_order': n}")
             order = fld["cyclo_order"]
         ctx = AlgebraCtx(n, localized, CycloField(order))
@@ -296,7 +292,7 @@ class Element:
             if not isinstance(item, dict):
                 raise SchemaError(here, "expected an object")
             i, j = item.get("xexp"), item.get("yexp")
-            if not isinstance(i, int) or not isinstance(j, int):
+            if type(i) is not int or type(j) is not int:
                 raise SchemaError(here, "expected integer 'xexp' and 'yexp'")
             if j < 0:
                 raise SchemaError(f"{here}.yexp", "y-exponents must be non-negative")
@@ -414,14 +410,11 @@ def laguerre_identity_check(ctx: AlgebraCtx, i: int, j: int) -> bool:
         raise ValueError("exponents must be non-negative")
     loc = ctx if ctx.localized else ctx.localize()
     lhs = loc.x(-i) * normal_order_power(loc, j) * loc.x(i)
-    k = loc.N - 1
-    alpha = Fraction(-i, k) - j
     rhs = loc.zero()
     sign = (-1) ** j * math.factorial(j)
-    for s in range(j + 1):
-        c = sign * (-1) ** s * falling_binomial(j + alpha, j - s) / math.factorial(s)
+    for s, c in enumerate(laguerre_poly(j, Fraction(-i, loc.N - 1) - j).coeffs):
         if c:
-            rhs = rhs + c * normal_order_power(loc, s)
+            rhs = rhs + sign * c * normal_order_power(loc, s)
     return lhs == rhs
 
 
@@ -431,8 +424,6 @@ def render_scalar(c) -> str:
         return str(c)
     if isinstance(c, CycloScalar):
         return "(" + QPoly(c.coeffs).format(var="z") + ")"
-    if isinstance(c, QPoly):
-        return "(" + c.format(var="T") + ")"
     return repr(c)
 
 

@@ -380,13 +380,7 @@ class CycloScalar:
         self.coeffs = tuple(coeffs)
 
     def _coerce(self, other):
-        if isinstance(other, CycloScalar):
-            if other.field.order != self.field.order:
-                raise FieldMismatchError(
-                    f"scalar from {other.field!r} used in {self.field!r}"
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (CycloScalar, int, Fraction)):
             return self.field.coerce(other)
         return None
 
@@ -437,12 +431,11 @@ class CycloScalar:
         if other is None:
             return NotImplemented
         b = other.coeffs
+        if not any(a[1:]):
+            a, b = b, a
         if not any(b[1:]):
             r = b[0]
             return CycloScalar(self.field, tuple(c * r if c else c for c in a))
-        if not any(a[1:]):
-            r = a[0]
-            return CycloScalar(self.field, tuple(c * r if c else c for c in b))
         na, da = _numerators(a)
         nb, db = _numerators(b)
         d = len(a)
@@ -515,38 +508,6 @@ class CycloScalar:
         return f"({QPoly(self.coeffs).format(var='z')} in {self.field!r})"
 
 
-class PolyRing:
-    """Coefficient ring Q[T], packaged with the small interface algebra
-    contexts expect from their scalar ring.  Used for identity checks that
-    involve one symbolic parameter."""
-
-    order = None
-
-    def __eq__(self, other):
-        return isinstance(other, PolyRing)
-
-    def __hash__(self):
-        return hash("PolyRing")
-
-    def __repr__(self):
-        return "Q[T]"
-
-    @property
-    def zero(self):
-        return QPoly.zero()
-
-    @property
-    def one(self):
-        return QPoly.one()
-
-    def coerce(self, value):
-        if isinstance(value, QPoly):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return QPoly((value,))
-        raise ValueError(f"cannot coerce {value!r} into Q[T]")
-
-
 def rational_to_json(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
@@ -584,7 +545,7 @@ def scalar_from_json(data, field: CycloField, path="coeff"):
     if isinstance(data, dict):
         order = data.get("order")
         coeffs = data.get("coeffs")
-        if not isinstance(order, int) or not isinstance(coeffs, list):
+        if type(order) is not int or not isinstance(coeffs, list):
             raise SchemaError(path, "cyclotomic scalar needs integer 'order' and list 'coeffs'")
         if order != field.order:
             raise FieldMismatchError(f"{path}: scalar of order {order} in field of order {field.order}")

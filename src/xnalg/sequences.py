@@ -95,10 +95,7 @@ def falling_binomial(top, m: int) -> Fraction:
     top (top-1) ... (top-m+1) / m!, valid for any rational top."""
     if m < 0:
         return Fraction(0)
-    num = Fraction(1)
-    for r in range(m):
-        num *= Fraction(top) - r
-    return num / math.factorial(m)
+    return pochhammer_k(Fraction(top), -1, m) / math.factorial(m)
 
 
 def laguerre_poly(j: int, alpha) -> QPoly:

@@ -1,8 +1,41 @@
-"""Polynomial and series helpers that only the test suite uses: sparse
-multivariate polynomials over Q for identities in several symbolic parameters,
-and truncated power series for generating-function identities."""
+"""Polynomial and series helpers that only the test suite uses: the
+coefficient ring Q[T] for identities in one symbolic parameter, sparse
+multivariate polynomials over Q for identities in several, and truncated power
+series for generating-function identities."""
 
 from fractions import Fraction
+
+from xnalg.scalars import QPoly
+
+
+class PolyRing:
+    """Coefficient ring Q[T], packaged with the small interface algebra
+    contexts expect from their scalar ring.  Used for identity checks that
+    involve one symbolic parameter."""
+
+    def __eq__(self, other):
+        return isinstance(other, PolyRing)
+
+    def __hash__(self):
+        return hash("PolyRing")
+
+    def __repr__(self):
+        return "Q[T]"
+
+    @property
+    def zero(self):
+        return QPoly.zero()
+
+    @property
+    def one(self):
+        return QPoly.one()
+
+    def coerce(self, value):
+        if isinstance(value, QPoly):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return QPoly((value,))
+        raise ValueError(f"cannot coerce {value!r} into Q[T]")
 
 
 class MPoly:

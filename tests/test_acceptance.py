@@ -44,7 +44,6 @@ from xnalg.ncalg import (
 )
 from xnalg.scalars import (
     CycloField,
-    PolyRing,
     QPoly,
     cyclo_primitive_root,
 )
@@ -56,7 +55,7 @@ from xnalg.sequences import (
     pochhammer_k,
 )
 
-from polys import MPoly, series_from_coeff_rule
+from polys import MPoly, PolyRing, series_from_coeff_rule
 
 
 def _report(number, description, started):

@@ -408,3 +408,115 @@ def test_inner_witness_recheck_fires(monkeypatch, tmp_path):
         result = run_command(argv)
         assert result.status == 3, argv
         assert result.text.startswith("internal invariant breach: inner witness")
+
+
+def test_slice_check_fires_on_a_corrupted_d0(monkeypatch):
+    # d1 . d0 is formed from the rows that are ranked, so a d0 row that lost
+    # an entry must fail the check, in the library and as exit 3
+    real = cohomology._matrix
+
+    def corrupted(columns, bases):
+        rows = real(columns, bases)
+        if len(bases) == 2:  # d0, rows over basis1x then basis1y
+            row = next(r for r in rows if r)
+            del row[next(iter(row))]
+        return rows
+
+    ctx = AlgebraCtx(3)
+    cohomology.build_slice(ctx, 6)
+    argv = ["hh", "--N", "3", "--from", "6", "--to", "6"]
+    assert run_command(argv).status == 0
+
+    monkeypatch.setattr(cohomology, "_matrix", corrupted)
+    with pytest.raises(AssertionError, match="do not compose to zero"):
+        cohomology.build_slice(ctx, 6)
+    result = run_command(argv)
+    assert result.status == 3
+    assert result.text == "internal invariant breach: the slice differentials do not compose to zero"
+
+
+def _twisted_document():
+    # an inner derivation over Q(zeta_3) twisted by x -> zeta x: every JSON
+    # section of the schema is present, dx has exactly one term
+    fld = CycloField(3)
+    ctx = AlgebraCtx(3, False, fld)
+    return ad_phi(ctx.x(2), Automorphism.diagonal(ctx, fld.zeta)).to_json()
+
+
+def _run_inner(tmp_path, document):
+    path = tmp_path / "derivation.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    return run_command(["inner", "--file", str(path)])
+
+
+def _set(keys, value):
+    # an edit of a JSON document: the value at the key path replaced
+    def edit(doc):
+        if not keys:
+            return value
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        return doc
+    edit.__name__ = (".".join(map(str, keys)) or "document") + "=" + json.dumps(value)
+    return edit
+
+
+def _duplicate_first_term(doc):
+    doc["dx"]["terms"].append(doc["dx"]["terms"][0])
+    return doc
+
+
+_TERM = ("dx", "terms", 0)
+_COEFF = _TERM + ("coeff",)
+
+
+_REFUSALS = [
+    (_set((), []), 1, "derivation: expected an object"),
+    (_set(("dy", "N"), 4), 1, "derivation: generator images disagree about the context"),
+    (_set(("twist",), []), 1, "derivation.twist: expected an object"),
+    (_set(("twist", "f"), {}), 1, "derivation.twist.f: expected a list"),
+    (_set(("dx",), []), 1, "derivation.dx: expected an object"),
+    (_set(("dx", "N"), -1), 1, "derivation.dx.N: expected an integer >= 0"),
+    (_set(("dx", "localized"), "no"), 1, "derivation.dx.localized: expected a boolean"),
+    (_set(("dx", "field"), 3), 1, "derivation.dx.field: expected {'cyclo_order': n}"),
+    (_set(("dx", "terms"), {}), 1, "derivation.dx.terms: expected a list"),
+    (_set(_TERM, []), 1, "derivation.dx.terms[0]: expected an object"),
+    (_set(_TERM + ("xexp",), "3"), 1,
+     "derivation.dx.terms[0]: expected integer 'xexp' and 'yexp'"),
+    (_set(_TERM + ("yexp",), -1), 1,
+     "derivation.dx.terms[0].yexp: y-exponents must be non-negative"),
+    (_set(_TERM + ("xexp",), -1), 1,
+     "derivation.dx.terms[0].xexp: negative x-exponent outside localized mode"),
+    (_duplicate_first_term, 1, "derivation.dx.terms[1]: duplicate monomial"),
+    (_set(_COEFF + ("coeffs",), "1/1"), 1,
+     "derivation.dx.terms[0].coeff: cyclotomic scalar needs integer 'order' and list 'coeffs'"),
+    (_set(_COEFF + ("order",), 4), 2,
+     "derivation.dx.terms[0].coeff: scalar of order 4 in field of order 3"),
+    (_set(_COEFF + ("coeffs",), ["1/1"]), 1,
+     "derivation.dx.terms[0].coeff: expected 2 coordinates, got 1"),
+    (_set(_COEFF, 5), 1, "derivation.dx.terms[0].coeff: not a scalar encoding: 5"),
+    # JSON true is no integer, although Python's bool is an int subclass
+    (_set(("dx", "N"), True), 1, "derivation.dx.N: expected an integer >= 0"),
+    (_set(_TERM + ("xexp",), True), 1,
+     "derivation.dx.terms[0]: expected integer 'xexp' and 'yexp'"),
+    (_set(_TERM + ("yexp",), True), 1,
+     "derivation.dx.terms[0]: expected integer 'xexp' and 'yexp'"),
+    (_set(("dx", "field", "cyclo_order"), True), 1,
+     "derivation.dx.field: expected {'cyclo_order': n}"),
+    (_set(_COEFF + ("order",), True), 1,
+     "derivation.dx.terms[0].coeff: cyclotomic scalar needs integer 'order' and list 'coeffs'"),
+]
+
+
+@pytest.mark.parametrize("edit, status, message", _REFUSALS, ids=[r[0].__name__ for r in _REFUSALS])
+def test_cli_inner_json_refusals(tmp_path, edit, status, message):
+    document = _twisted_document()
+    assert _run_inner(tmp_path, document).status == 0
+    result = _run_inner(tmp_path, edit(document))
+    assert result.status == status
+    assert result.payload == {"error": message}
+    prefix = "parse error" if status == 1 else "precondition violated"
+    assert result.text == f"{prefix}: {message}"
+

@@ -21,7 +21,7 @@ from xnalg.maps import (
     sigma,
 )
 from xnalg.ncalg import AlgebraCtx, Element, basis_of_degree, commutator, phi_element
-from xnalg.scalars import CycloField, PolyRing, QPoly
+from xnalg.scalars import CycloField, QPoly
 
 from oracles import (
     brute_apply,
@@ -30,6 +30,7 @@ from oracles import (
     product_chain_apply,
     product_chain_relation_residual,
 )
+from polys import PolyRing
 
 
 def _random_aut(rng, ctx, units):

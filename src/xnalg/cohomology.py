@@ -118,14 +118,20 @@ def build_slice(ctx: AlgebraCtx, l: int, omega=None) -> ComplexSlice:
     diagonal automorphism x -> omega x, y -> omega^{N-1} y.
 
     The composite d1 . d0 of the returned rows is checked to vanish before
-    the slice is returned.
+    the slice is returned.  Without a twist (or with omega = 1) every entry
+    is an integer combination of the commutation weights, so the rows are
+    assembled and checked on Python ints from the integer unit, and each
+    nonzero becomes a field scalar only after the check.
     """
     if ctx.N < 2:
         raise ValueError("degreewise cohomology needs N >= 2")
     if ctx.localized:
         raise ValueError("slices are built over the unlocalized algebra")
     omega = None if omega is None else ctx.coerce(omega)
-    twist = None if omega is None else Automorphism.diagonal(ctx, omega)
+    twist = None
+    if omega is not None and omega != ctx.field.one:
+        twist = Automorphism.diagonal(ctx, omega)
+    unit = 1 if twist is None else ctx.field.one
 
     basis0 = basis_of_degree(ctx, l)
     basis1x = basis_of_degree(ctx, l + 1)
@@ -135,15 +141,16 @@ def build_slice(ctx: AlgebraCtx, l: int, omega=None) -> ComplexSlice:
 
     d0_columns = []
     for mono in basis0:
-        d = ad_phi(ctx.monomial(*mono), twist)
+        d = ad_phi(Element(ctx, {mono: unit}), twist)
         d0_columns.append((d.dx, d.dy))
     d0 = _matrix(d0_columns, [basis1x, basis1y])
-    residuals = [relation_residual(ctx.monomial(*m), zero, twist) for m in basis1x]
-    residuals += [relation_residual(zero, ctx.monomial(*m), twist) for m in basis1y]
+    residuals = [relation_residual(Element(ctx, {m: unit}), zero, twist) for m in basis1x]
+    residuals += [relation_residual(zero, Element(ctx, {m: unit}), twist) for m in basis1y]
     d1 = _matrix([(r,) for r in residuals], [basis2])
 
-    # d1 . d0 on the rows that are ranked: row r of the product sums
-    # d1[r][mid] * d0[mid] over the nonzeros of d1 row r
+    # d1 . d0 on the rows that are ranked (before any conversion to field
+    # scalars): row r of the product sums d1[r][mid] * d0[mid] over the
+    # nonzeros of d1 row r
     for row in d1:
         total = {}
         for mid, v in row.items():
@@ -152,6 +159,10 @@ def build_slice(ctx: AlgebraCtx, l: int, omega=None) -> ComplexSlice:
                 total[col] = c * v if acc is None else acc + c * v
         if any(total.values()):
             raise AssertionError("the slice differentials do not compose to zero")
+    if twist is None:
+        scalar = Fraction if ctx.field.order == 1 else ctx.coerce
+        d0 = [{col: scalar(c) for col, c in row.items()} for row in d0]
+        d1 = [{col: scalar(c) for col, c in row.items()} for row in d1]
 
     return ComplexSlice(ctx, l, omega, basis0, basis1x, basis1y, basis2, d0, d1)
 
@@ -220,9 +231,25 @@ class DimsReport:
         }
 
 
+# Budgets of an hh_profile window, refused as precondition violations (exit 2
+# on the command line).  Over N = 2 a degree-l slice has about l monomials per
+# basis and its check and rank take about l^3 steps: the window [-63..64]
+# runs in about a second (Python 3.11, shared 2-vCPU x86 host), and the cost
+# grows as the top degree cubed.
+MAX_HH_DEGREE = 64
+MAX_HH_WIDTH = 128
+
+
 def hh_profile(ctx: AlgebraCtx, lo: int, hi: int, omega=None):
     """All three cohomology dimension rows over a window, plus the per-degree
-    Euler characteristics (computed two ways)."""
+    Euler characteristics (computed two ways).  The window must lie within
+    the budgets MAX_HH_DEGREE (top degree) and MAX_HH_WIDTH (slices)."""
+    if hi > MAX_HH_DEGREE:
+        raise ValueError(f"top degree {hi} is above the budget of {MAX_HH_DEGREE}")
+    if hi - lo + 1 > MAX_HH_WIDTH:
+        raise ValueError(
+            f"degree window [{lo}..{hi}] is wider than the budget of {MAX_HH_WIDTH} degrees"
+        )
     rows = {0: [], 1: [], 2: []}
     euler = []
     for l in range(lo, hi + 1):

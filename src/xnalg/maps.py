@@ -214,10 +214,10 @@ def exp_lnd(ctx: AlgebraCtx, g, t) -> Automorphism:
 def _twist_images(ctx: AlgebraCtx, twist: Automorphism | None):
     """(k -> lam^k, phi(y)) of the twist, or (k -> 1, y) without one; phi(y)
     is rebased onto `ctx`, which may be the localization of the twist's
-    context."""
+    context.  Without a twist the unit is the integer 1, so integer inputs
+    stay integers and field-scalar inputs keep their type."""
     if twist is None:
-        one = ctx.field.one
-        return (lambda k: one), ctx.y()
+        return (lambda k: 1), Element(ctx, {(0, 1): 1})
     phi_y = twist.y_image()
     if phi_y.ctx != ctx:
         phi_y = Element(ctx, dict(phi_y.terms))

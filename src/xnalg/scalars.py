@@ -277,11 +277,20 @@ def cyclotomic_polynomial(n: int) -> QPoly:
     return poly
 
 
+# Largest cyclotomic order a field may have, refused as a precondition
+# violation (exit 2 on the command line).  A product costs euler_phi(n)^2 and
+# an inverse euler_phi(n)^3 integer steps; at order 97 (degree 96) one
+# twisted `hh` over four degrees takes about two seconds (Python 3.11, shared
+# 2-vCPU x86 host).
+MAX_CYCLO_ORDER = 100
+
+
 class CycloField:
     """The cyclotomic field Q(zeta_n); order 1 is plain Q.
 
     Instances are interned per order.  Elements of the order-1 field are bare
     ``Fraction`` values; higher orders use :class:`CycloScalar` residues.
+    Orders run from 1 to MAX_CYCLO_ORDER.
     """
 
     __slots__ = ("order", "modulus", "degree", "fold")
@@ -292,6 +301,10 @@ class CycloField:
         if inst is None:
             if order < 1:
                 raise ValueError("cyclotomic order must be >= 1")
+            if order > MAX_CYCLO_ORDER:
+                raise ValueError(
+                    f"cyclotomic order {order} is above the budget of {MAX_CYCLO_ORDER}"
+                )
             inst = super().__new__(cls)
             inst.order = order
             inst.modulus = cyclotomic_polynomial(order)

@@ -290,6 +290,51 @@ def test_cli_hh_identity_twist_is_untwisted():
         assert {**b, "twist_order": None} == a
 
 
+def test_cli_hh_identity_twist_json_bytes():
+    # omega = 1 builds the untwisted integer slices; the report still says
+    # twist_order 1, and its bytes are pinned
+    argv = ["hh", "--N", "3", "--from", "0", "--to", "3", "--twist-order", "1", "--json"]
+    result = run_command(argv)
+    computed = {0: [1, 0, 0, 0], 1: [2, 1, 1, 1], 2: [1, 1, 1, 1]}
+    expected = [
+        {"N": 3, "p": p, "from": 0, "to": 3, "twist_order": 1, "computed": dims,
+         "expected": dims, "match": True, "euler_computed": [0, 0, 0, 0],
+         "euler_expected": [0, 0, 0, 0], "euler_match": True}
+        for p, dims in computed.items()
+    ]
+    assert result.status == 0
+    assert result.text == json.dumps(expected, indent=2, sort_keys=True)
+
+
+def test_cli_budgets_exit_2(tmp_path):
+    # inputs past a budget are refused before any slice or field is built;
+    # inputs at a budget run
+    budgets = (
+        (["hh", "--N", "3", "--from", "0", "--to", "100000"],
+         "top degree 100000 is above the budget of 64"),
+        (["hh", "--N", "3", "--from", "-100000", "--to", "3"],
+         "degree window [-100000..3] is wider than the budget of 128 degrees"),
+        (["hh", "--N", "3", "--from", "0", "--to", "3", "--twist-order", "100000"],
+         "cyclotomic order 100000 is above the budget of 100"),
+        (["norm", "x", "--N", "3", "--field-order", "100000"],
+         "cyclotomic order 100000 is above the budget of 100"),
+    )
+    for argv, message in budgets:
+        result = run_command(argv)
+        assert result.status == 2, argv
+        assert result.text == f"precondition violated: {message}"
+    document = ad_phi(AlgebraCtx(3).x(2)).to_json()
+    document["dx"]["field"]["cyclo_order"] = 100000
+    path = tmp_path / "derivation.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    result = run_command(["inner", "--file", str(path)])
+    assert result.status == 2
+    assert result.payload == {"error": "cyclotomic order 100000 is above the budget of 100"}
+    for argv in (["hh", "--N", "6", "--p", "1", "--from", "-63", "--to", "64"],
+                 ["norm", "x", "--N", "3", "--field-order", "100"]):
+        assert run_command(argv).status == 0, argv
+
+
 def test_cli_schema_error(tmp_path):
     bad = {
         "twist": None,

@@ -31,7 +31,15 @@ from xnalg.maps import (
 from xnalg.ncalg import AlgebraCtx, Element, basis_of_degree, commutator
 from xnalg.scalars import CycloField, CycloScalar
 
-from oracles import LaurentPoly, column_rank, dense, laurent_act, nullspace
+from oracles import (
+    LaurentPoly,
+    column_rank,
+    dense,
+    laurent_act,
+    nullspace,
+    product_chain_ad_phi,
+    product_chain_relation_residual,
+)
 
 
 def test_slice_ranks_against_column_oracle():
@@ -98,6 +106,127 @@ def test_slice_and_residual_coefficients_are_field_scalars():
                 assert all(type(c) is kind for c in value.terms.values())
                 checked += len(value.terms)
     assert checked > 400
+
+
+def _reference_slice(ctx, l, twist):
+    """The d0 and d1 rows of the degree-l slice assembled over field scalars
+    from the whole-element product oracles, in the row and column order of
+    build_slice."""
+    basis0 = basis_of_degree(ctx, l)
+    basis1x = basis_of_degree(ctx, l + 1)
+    basis1y = basis_of_degree(ctx, l + ctx.N - 1)
+    basis2 = basis_of_degree(ctx, l + ctx.N)
+
+    def rows(images, blocks):
+        out = []
+        for block, basis in enumerate(blocks):
+            for mono in basis:
+                out.append({k: img[block].coefficient(*mono) for k, img in enumerate(images)
+                            if img[block].coefficient(*mono)})
+            assert all(set(img[block].terms) <= set(basis) for img in images)
+        return out
+
+    images0 = [product_chain_ad_phi(ctx.monomial(*m), twist) for m in basis0]
+    zero = ctx.zero()
+    images1 = [(product_chain_relation_residual(ctx.monomial(*m), zero, twist),) for m in basis1x]
+    images1 += [(product_chain_relation_residual(zero, ctx.monomial(*m), twist),) for m in basis1y]
+    return rows(images0, [basis1x, basis1y]), rows(images1, [basis2])
+
+
+def test_slice_rows_match_the_product_chain_reference():
+    # the slices are assembled on integers without a twist and on field
+    # scalars with one; either way the rows must equal the rows read off the
+    # whole-element product oracles, entry by entry and in field types
+    q, f3, f4 = CycloField(1), CycloField(3), CycloField(4)
+    cases = [(q, None), (q, Fraction(1)), (q, Fraction(-2, 3)),
+             (f3, None), (f3, f3.one), (f3, f3.zeta), (f4, f4.zeta)]
+    checked = 0
+    for N in (2, 3, 4, 5, 6):
+        for field, omega in cases:
+            ctx = AlgebraCtx(N, False, field)
+            kind = Fraction if field.order == 1 else CycloScalar
+            twist = None if omega is None else Automorphism.diagonal(ctx, omega)
+            for l in (-N, -N + 1, -1, 0, 1, N + 2, 3 * N + 1):
+                sl = build_slice(ctx, l, omega)
+                ref_d0, ref_d1 = _reference_slice(ctx, l, twist)
+                assert sl.d0 == ref_d0, (N, field, omega, l)
+                assert sl.d1 == ref_d1, (N, field, omega, l)
+                for row in (*sl.d0, *sl.d1):
+                    assert all(type(c) is kind for c in row.values()), (N, field, omega, l)
+                    checked += len(row)
+    assert checked > 2000
+
+
+def test_identity_twist_slices_take_the_integer_path(monkeypatch):
+    # omega = 1 is the untwisted complex: the slice is assembled from integer
+    # monomials without a twist and equals the untwisted slice
+    from xnalg import cohomology
+
+    seen = []
+    real = cohomology.ad_phi
+
+    def spy(u, twist=None):
+        seen.append((twist, {type(c) for c in u.terms.values()}))
+        return real(u, twist)
+
+    monkeypatch.setattr(cohomology, "ad_phi", spy)
+    for field in (CycloField(1), CycloField(3)):
+        ctx = AlgebraCtx(3, False, field)
+        for l in (0, 5):
+            twisted, plain = build_slice(ctx, l, field.one), build_slice(ctx, l)
+            assert (twisted.d0, twisted.d1) == (plain.d0, plain.d1)
+    assert seen and all(twist is None and kinds == {int} for twist, kinds in seen)
+
+
+def test_operations_over_q_return_fraction_coefficients():
+    # over Q every coefficient a caller sees is a Fraction: the integer unit
+    # of the untwisted kernels must never surface as an int, and no float
+    # may enter anywhere
+    rng = random.Random(29)
+
+    def coefficients(value):
+        if isinstance(value, GenDerivation):
+            return [*value.dx.terms.values(), *value.dy.terms.values()]
+        return list(value.terms.values())
+
+    def scalar():
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 1, 2, 3)))
+
+    def element(ctx, i_lo=0):
+        return Element(ctx, {(rng.randint(i_lo, 4), rng.randint(0, 3)): scalar() for _ in range(3)})
+
+    checked = 0
+    for N in (2, 3, 4):
+        ctx = AlgebraCtx(N)
+        loc = ctx.localize()
+        twists = (None, Automorphism.identity(ctx), Automorphism.diagonal(ctx, Fraction(-1, 2)),
+                  Automorphism(ctx, 2, [1, 3]))
+        for _ in range(4):
+            a, b, u = element(ctx), element(ctx), element(ctx)
+            al, bl = element(loc, -3), element(loc, -3)
+            results = [a + b, a - b, a * b, a / 3, a / Fraction(2, 5), a ** 3, a ** 0,
+                       al * bl, al - bl, al ** 2]
+            for twist in twists:
+                d = ad_phi(u, twist)
+                results += [d, relation_residual(a, b, twist), d.apply(a),
+                            d.extend_localized().apply(al)]
+                if twist is not None:
+                    results += [twist.apply(a), twist.inverse().apply(al)]
+            for l in (-N + 1, 0, 2, 5):
+                d = grading_derivation(ctx) if l == 0 else partial_l(ctx, l)
+                results += [d.apply(a), d.extend_localized().apply(al), d.bracket(ad_phi(u))]
+            results.append(ad_phi(u, twists[2]).bracket(grading_derivation(ctx)))
+            for value in results:
+                coeffs = coefficients(value)
+                assert all(type(c) is Fraction for c in coeffs), value
+                checked += len(coeffs)
+        for l in (-N, 0, 3, 7):
+            for omega in (None, 1, Fraction(3)):
+                sl = build_slice(ctx, l, omega)
+                for row in (*sl.d0, *sl.d1):
+                    assert all(type(c) is Fraction for c in row.values()), (N, l, omega)
+                    checked += len(row)
+    assert checked > 2000
 
 
 def test_space_euler_characteristic():

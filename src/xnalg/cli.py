@@ -15,6 +15,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .cohomology import (
     bracket_table,
@@ -250,11 +251,20 @@ def _ctx_from(ns) -> AlgebraCtx:
     return AlgebraCtx(ns.N, getattr(ns, "localized", False), field)
 
 
+def _decode_json(text):
+    # the decoder recurses once per nesting level, so a document nested past
+    # the interpreter's recursion limit is refused like a deep expression
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input nests too deeply") from None
+
+
 def _read_json_input(ns):
     if getattr(ns, "file", None):
         with open(ns.file, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    return json.load(sys.stdin)
+            return _decode_json(handle.read())
+    return _decode_json(sys.stdin.read())
 
 
 def _cmd_norm(ns):
@@ -273,8 +283,8 @@ def _cmd_cseq(ns):
     return payload, poly.format()
 
 
-def _cmd_number(ns):
-    value = ns.sequence(ns.n)
+def _cmd_number(sequence, ns):
+    value = sequence(ns.n)
     return {"n": ns.n, "value": scalar_to_json(value)}, str(value)
 
 
@@ -349,8 +359,8 @@ def _cmd_taft(ns):
 
 def _cmd_aut(ns):
     ctx = _ctx_from(ns)
-    a = Automorphism.from_json(json.loads(ns.a), ctx, "a") if ns.a else None
-    b = Automorphism.from_json(json.loads(ns.b), ctx, "b") if ns.b else None
+    a = Automorphism.from_json(_decode_json(ns.a), ctx, "a") if ns.a else None
+    b = Automorphism.from_json(_decode_json(ns.b), ctx, "b") if ns.b else None
     if ns.action == "compose":
         if a is None or b is None:
             raise _UsageError("compose needs --a and --b")
@@ -405,118 +415,81 @@ def _cmd_nil(ns):
     return report.to_json(), text
 
 
+# --- subcommand table ------------------------------------------------------
+#
+# One entry per subcommand: name, help line, handler and its arguments in
+# order.  An argument is (flag, add_argument keywords); a list of arguments is
+# a mutually exclusive group; `_int` makes a required integer option.  Every
+# subcommand also takes --json.
+
+
+def _int(flag, **kw):
+    return flag, {"type": int, "required": True, **kw}
+
+
+_N = _int("--N", help="relation exponent")
+_FIELD = ("--field-order", {"type": int})
+_LOCALIZED = ("--localized", {"action": "store_true"})
+_FROM = _int("--from", dest="lo")
+_TO = _int("--to", dest="hi")
+_FILE = ("--file", {})
+
+_COMMANDS = (
+    ("norm", "normal form of an expression", _cmd_norm, [("expr", {}), _N, _FIELD, _LOCALIZED]),
+    ("cseq", "the j-th polynomial of the c-family", _cmd_cseq, [_int("--j")]),
+    ("bern", "Bernoulli number", partial(_cmd_number, bernoulli), [_int("--n")]),
+    ("greg", "Gregory coefficient", partial(_cmd_number, gregory), [_int("--n")]),
+    ("phi", "the degree-j(N-1) element with bracket x^N y^{j-1}", _cmd_phi,
+     [_int("--j"), _N, _FIELD, _LOCALIZED]),
+    ("laguerre-check", "conjugation identity for normal-order powers", _cmd_laguerre_check,
+     [_int("--i"), _int("--j"), _N, _FIELD, _LOCALIZED]),
+    ("hh", "cohomology dimensions over a degree window", _cmd_hh,
+     [("--p", {"type": int, "choices": (0, 1, 2)}),
+      [_FIELD, ("--twist-order", {"type": int})], _N, _FROM, _TO]),
+    ("bracket", "bracket table entry with witness", _cmd_bracket,
+     [_int("--l"), _int("--m"), _N, _FIELD]),
+    ("inner", "innerness decision with witness (derivation JSON on stdin or --file)", _cmd_inner,
+     [_FILE, ("--i-min", {"type": int})]),
+    ("residue", "residue obstruction to localized innerness", _cmd_residue, [_FILE]),
+    ("taft", "obstruction to inner-faithful Taft actions", _cmd_taft,
+     [_int("--n"), ("--max-degree", {"type": int, "default": 6}), _N]),
+    ("aut", "automorphism group operations", _cmd_aut,
+     [("action", {"choices": ("compose", "inverse", "order", "apply")}),
+      ("--a", {"help": "automorphism JSON"}), ("--b", {"help": "automorphism JSON"}),
+      ("--expr", {}), ("--bound", {"type": int, "default": 64}), _N, _FIELD, _LOCALIZED]),
+    ("veronese", "fixed monomials of the diagonal order-m automorphism", _cmd_veronese,
+     [_int("--m"), _N, _FROM, _TO]),
+    ("nil", "nilpotent chain containment on a window", _cmd_nil,
+     [_int("--r"), _int("--s"), _N, _FIELD, _FROM, _TO]),
+)
+
+
 def _build_parser():
     parser = _CliParser(prog="xnalg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def field_order(p):
-        p.add_argument("--field-order", type=int, default=None, dest="field_order")
-
-    def common(p, window=False, localized=True, field=True):
-        p.add_argument("--N", type=int, required=True, help="relation exponent")
-        if field:
-            field_order(p)
-        if localized:
-            p.add_argument("--localized", action="store_true")
-        if window:
-            p.add_argument("--from", dest="lo", type=int, required=True)
-            p.add_argument("--to", dest="hi", type=int, required=True)
-
-    p = sub.add_parser("norm", help="normal form of an expression")
-    p.add_argument("expr")
-    common(p)
-    p.set_defaults(handler=_cmd_norm)
-
-    p = sub.add_parser("cseq", help="the j-th polynomial of the c-family")
-    p.add_argument("--j", type=int, required=True)
-    p.set_defaults(handler=_cmd_cseq)
-
-    for name, sequence, blurb in (
-        ("bern", bernoulli, "Bernoulli number"),
-        ("greg", gregory, "Gregory coefficient"),
-    ):
+    for name, blurb, handler, args in _COMMANDS:
         p = sub.add_parser(name, help=blurb)
-        p.add_argument("--n", type=int, required=True)
-        p.set_defaults(handler=_cmd_number, sequence=sequence)
-
-    p = sub.add_parser("phi", help="the degree-j(N-1) element with bracket x^N y^{j-1}")
-    p.add_argument("--j", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_phi)
-
-    p = sub.add_parser("laguerre-check", help="conjugation identity for normal-order powers")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    common(p)
-    p.set_defaults(handler=_cmd_laguerre_check)
-
-    p = sub.add_parser("hh", help="cohomology dimensions over a degree window")
-    p.add_argument("--p", type=int, choices=(0, 1, 2), default=None)
-    scalars = p.add_mutually_exclusive_group()
-    field_order(scalars)
-    scalars.add_argument("--twist-order", type=int, default=None, dest="twist_order")
-    common(p, window=True, localized=False, field=False)
-    p.set_defaults(handler=_cmd_hh)
-
-    p = sub.add_parser("bracket", help="bracket table entry with witness")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    common(p, localized=False)
-    p.set_defaults(handler=_cmd_bracket)
-
-    p = sub.add_parser("inner", help="innerness decision with witness (derivation JSON on stdin or --file)")
-    p.add_argument("--file", default=None)
-    p.add_argument("--i-min", dest="i_min", type=int, default=None)
-    p.set_defaults(handler=_cmd_inner)
-
-    p = sub.add_parser("residue", help="residue obstruction to localized innerness")
-    p.add_argument("--file", default=None)
-    p.set_defaults(handler=_cmd_residue)
-
-    p = sub.add_parser("taft", help="obstruction to inner-faithful Taft actions")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-degree", dest="max_degree", type=int, default=6)
-    common(p, localized=False, field=False)
-    p.set_defaults(handler=_cmd_taft)
-
-    p = sub.add_parser("aut", help="automorphism group operations")
-    p.add_argument("action", choices=("compose", "inverse", "order", "apply"))
-    p.add_argument("--a", default=None, help="automorphism JSON")
-    p.add_argument("--b", default=None, help="automorphism JSON")
-    p.add_argument("--expr", default=None)
-    p.add_argument("--bound", type=int, default=64)
-    common(p)
-    p.set_defaults(handler=_cmd_aut)
-
-    p = sub.add_parser("veronese", help="fixed monomials of the diagonal order-m automorphism")
-    p.add_argument("--m", type=int, required=True)
-    common(p, window=True, localized=False, field=False)
-    p.set_defaults(handler=_cmd_veronese)
-
-    p = sub.add_parser("nil", help="nilpotent chain containment on a window")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    common(p, window=True, localized=False)
-    p.set_defaults(handler=_cmd_nil)
-
-    for p in sub.choices.values():
+        for arg in args:
+            if isinstance(arg, list):
+                group = p.add_mutually_exclusive_group()
+                for flag, kw in arg:
+                    group.add_argument(flag, **kw)
+            else:
+                p.add_argument(arg[0], **arg[1])
         p.add_argument("--json", action="store_true")
+        p.set_defaults(handler=handler)
     return parser
 
 
 def run_command(argv) -> CommandResult:
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except _UsageError as exc:
-        return CommandResult(1, {"error": str(exc)}, f"usage error: {exc}")
-    except _HelpRequested as exc:
-        text = str(exc).rstrip("\n")
-        return CommandResult(0, {"help": text}, text)
-    try:
+        ns = _build_parser().parse_args(argv)
         if hasattr(ns, "lo") and ns.lo > ns.hi:
             raise ValueError(f"empty degree window: --from {ns.lo} is above --to {ns.hi}")
         payload, text = ns.handler(ns)
+    except _HelpRequested as exc:
+        text = str(exc).rstrip("\n")
+        return CommandResult(0, {"help": text}, text)
     except _UsageError as exc:
         return CommandResult(1, {"error": str(exc)}, f"usage error: {exc}")
     except (ParseError, SchemaError, json.JSONDecodeError) as exc:

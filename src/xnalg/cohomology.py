@@ -117,8 +117,9 @@ def build_slice(ctx: AlgebraCtx, l: int, omega=None) -> ComplexSlice:
     """Assemble the degree-l slice; `omega` twists the bimodule by the
     diagonal automorphism x -> omega x, y -> omega^{N-1} y.
 
-    The composite d1 . d0 of the returned rows is checked to vanish before
-    the slice is returned.  Without a twist (or with omega = 1) every entry
+    The composite d1 . d0 of the returned rows is checked to vanish, and a
+    d0 row that no d1 row reads is checked against ad_phi, before the slice
+    is returned.  Without a twist (or with omega = 1) every entry
     is an integer combination of the commutation weights, so the rows are
     assembled and checked on Python ints from the integer unit, and each
     nonzero becomes a field scalar only after the check.
@@ -159,6 +160,16 @@ def build_slice(ctx: AlgebraCtx, l: int, omega=None) -> ComplexSlice:
                 total[col] = c * v if acc is None else acc + c * v
         if any(total.values()):
             raise AssertionError("the slice differentials do not compose to zero")
+    # a d0 row that no d1 row reads escapes that check; each is compared with
+    # ad_phi applied once to sum_k (k+1) basis0[k]
+    read = {mid for row in d1 for mid in row}
+    unread = [r for r in range(len(d0)) if r not in read]
+    if unread:
+        image = ad_phi(Element(ctx, {m: (k + 1) * unit for k, m in enumerate(basis0)}), twist)
+        expected = [image.dx.terms.get(m, 0) for m in basis1x]
+        expected += [image.dy.terms.get(m, 0) for m in basis1y]
+        if any(sum((k + 1) * c for k, c in d0[r].items()) != expected[r] for r in unread):
+            raise AssertionError("a d0 row disagrees with ad_phi")
     if twist is None:
         scalar = Fraction if ctx.field.order == 1 else ctx.coerce
         d0 = [{col: scalar(c) for col, c in row.items()} for row in d0]
@@ -539,9 +550,9 @@ def taft_obstruction(N: int, n: int, max_degree: int = 6) -> TaftReport:
         lhs = a
         for _ in range(n):
             lhs = d.apply(lhs)
-        a_loc = Element(loc, dict(a.terms))
+        a_loc = Element(loc, a.terms)
         rhs = u_n * a_loc - a_loc * u_n
-        if Element(loc, dict(lhs.terms)) != rhs:
+        if Element(loc, lhs.terms) != rhs:
             collapse_ok = False
         checked += 1
 

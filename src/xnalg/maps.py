@@ -107,7 +107,7 @@ class Automorphism:
         k = ctx.N - 1
         y_img = self.y_image()
         if ctx.localized:
-            y_img = Element(ctx, dict(y_img.terms))
+            y_img = Element(ctx, y_img.terms)
         ypow = [ctx.one()]
         out: dict = {}
         for (i, j), c in a.terms.items():
@@ -220,7 +220,7 @@ def _twist_images(ctx: AlgebraCtx, twist: Automorphism | None):
         return (lambda k: 1), Element(ctx, {(0, 1): 1})
     phi_y = twist.y_image()
     if phi_y.ctx != ctx:
-        phi_y = Element(ctx, dict(phi_y.terms))
+        phi_y = Element(ctx, phi_y.terms)
     return twist.lam_power, phi_y
 
 
@@ -358,8 +358,8 @@ class GenDerivation:
         ctx = self.ctx.localize()
         ext = GenDerivation(
             ctx,
-            Element(ctx, dict(self.dx.terms)),
-            Element(ctx, dict(self.dy.terms)),
+            Element(ctx, self.dx.terms),
+            Element(ctx, self.dy.terms),
             self.twist,
         )
         ext._well_defined = self._well_defined
@@ -491,8 +491,8 @@ def restrict_to_algebra(d: GenDerivation) -> GenDerivation:
     ctx = d.ctx.unlocalized()
     out = GenDerivation(
         ctx,
-        Element(ctx, dict(d.dx.terms)),
-        Element(ctx, dict(d.dy.terms)),
+        Element(ctx, d.dx.terms),
+        Element(ctx, d.dy.terms),
         d.twist,
     )
     out._well_defined = d._well_defined

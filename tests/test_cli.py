@@ -379,6 +379,165 @@ def test_cli_help_returns_a_result(capsys):
     assert run_command(["norm", "y*x - x*y", "--N", "4"]).text == "x^4"
 
 
+# Each subcommand's arguments as (option strings, dest, type, required,
+# default, choices, help, exclusive group), between -h and --json; recorded
+# from the hand-written parser the command table replaced.  Help layout
+# differs between Python releases, so the structure is pinned, not the text.
+_PARSER_SHAPE = [
+    ("norm", "normal form of an expression", [
+        ((), "expr", None, True, None, None, None, None),
+        (("--N",), "N", "int", True, None, None, "relation exponent", None),
+        (("--field-order",), "field_order", "int", False, None, None, None, None),
+        (("--localized",), "localized", None, False, False, None, None, None),
+    ]),
+    ("cseq", "the j-th polynomial of the c-family", [
+        (("--j",), "j", "int", True, None, None, None, None),
+    ]),
+    ("bern", "Bernoulli number", [
+        (("--n",), "n", "int", True, None, None, None, None),
+    ]),
+    ("greg", "Gregory coefficient", [
+        (("--n",), "n", "int", True, None, None, None, None),
+    ]),
+    ("phi", "the degree-j(N-1) element with bracket x^N y^{j-1}", [
+        (("--j",), "j", "int", True, None, None, None, None),
+        (("--N",), "N", "int", True, None, None, "relation exponent", None),
+        (("--field-order",), "field_order", "int", False, None, None, None, None),
+        (("--localized",), "localized", None, False, False, None, None, None),
+    ]),
+    ("laguerre-check", "conjugation identity for normal-order powers", [
+        (("--i",), "i", "int", True, None, None, None, None),
+        (("--j",), "j", "int", True, None, None, None, None),
+        (("--N",), "N", "int", True, None, None, "relation exponent", None),
+        (("--field-order",), "field_order", "int", False, None, None, None, None),
+        (("--localized",), "localized", None, False, False, None, None, None),
+    ]),
+    ("hh", "cohomology dimensions over a degree window", [
+        (("--p",), "p", "int", False, None, (0, 1, 2), None, None),
+        (("--field-order",), "field_order", "int", False, None, None, None, 0),
+        (("--twist-order",), "twist_order", "int", False, None, None, None, 0),
+        (("--N",), "N", "int", True, None, None, "relation exponent", None),
+        (("--from",), "lo", "int", True, None, None, None, None),
+        (("--to",), "hi", "int", True, None, None, None, None),
+    ]),
+    ("bracket", "bracket table entry with witness", [
+        (("--l",), "l", "int", True, None, None, None, None),
+        (("--m",), "m", "int", True, None, None, None, None),
+        (("--N",), "N", "int", True, None, None, "relation exponent", None),
+        (("--field-order",), "field_order", "int", False, None, None, None, None),
+    ]),
+    ("inner", "innerness decision with witness (derivation JSON on stdin or --file)", [
+        (("--file",), "file", None, False, None, None, None, None),
+        (("--i-min",), "i_min", "int", False, None, None, None, None),
+    ]),
+    ("residue", "residue obstruction to localized innerness", [
+        (("--file",), "file", None, False, None, None, None, None),
+    ]),
+    ("taft", "obstruction to inner-faithful Taft actions", [
+        (("--n",), "n", "int", True, None, None, None, None),
+        (("--max-degree",), "max_degree", "int", False, 6, None, None, None),
+        (("--N",), "N", "int", True, None, None, "relation exponent", None),
+    ]),
+    ("aut", "automorphism group operations", [
+        ((), "action", None, True, None, ("compose", "inverse", "order", "apply"), None, None),
+        (("--a",), "a", None, False, None, None, "automorphism JSON", None),
+        (("--b",), "b", None, False, None, None, "automorphism JSON", None),
+        (("--expr",), "expr", None, False, None, None, None, None),
+        (("--bound",), "bound", "int", False, 64, None, None, None),
+        (("--N",), "N", "int", True, None, None, "relation exponent", None),
+        (("--field-order",), "field_order", "int", False, None, None, None, None),
+        (("--localized",), "localized", None, False, False, None, None, None),
+    ]),
+    ("veronese", "fixed monomials of the diagonal order-m automorphism", [
+        (("--m",), "m", "int", True, None, None, None, None),
+        (("--N",), "N", "int", True, None, None, "relation exponent", None),
+        (("--from",), "lo", "int", True, None, None, None, None),
+        (("--to",), "hi", "int", True, None, None, None, None),
+    ]),
+    ("nil", "nilpotent chain containment on a window", [
+        (("--r",), "r", "int", True, None, None, None, None),
+        (("--s",), "s", "int", True, None, None, None, None),
+        (("--N",), "N", "int", True, None, None, "relation exponent", None),
+        (("--field-order",), "field_order", "int", False, None, None, None, None),
+        (("--from",), "lo", "int", True, None, None, None, None),
+        (("--to",), "hi", "int", True, None, None, None, None),
+    ]),
+]
+
+
+def test_cli_parser_structure(tmp_path):
+    parser = _build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    shape = []
+    for name, sub in subparsers.choices.items():
+        groups = [g._group_actions for g in sub._mutually_exclusive_groups]
+        shape.append((name, [
+            (tuple(a.option_strings), a.dest, getattr(a.type, "__name__", a.type), a.required,
+             a.default, a.choices, a.help, next((k for k, g in enumerate(groups) if a in g), None))
+            for a in sub._actions
+        ]))
+    assert [a.help for a in subparsers._choices_actions] == [help for _, help, _ in _PARSER_SHAPE]
+    assert shape == [
+        (name, [(("-h", "--help"), "help", None, False, argparse.SUPPRESS, None,
+                 "show this help message and exit", None),
+                *args,
+                (("--json",), "json", None, False, False, None, None, None)])
+        for name, _, args in _PARSER_SHAPE
+    ]
+    # every subcommand's help, each followed by a valid request that its
+    # handler alone answers, in one process
+    document = tmp_path / "derivation.json"
+    document.write_text(json.dumps(ad_phi(AlgebraCtx(3).x(2)).to_json()), encoding="utf-8")
+    requests = {
+        "norm": (["y*x - x*y", "--N", "4"], "x^4"),
+        "cseq": (["--j", "2"], "-1/6*q^2 + 1/6"),
+        "bern": (["--n", "2"], "1/6"),
+        "greg": (["--n", "2"], "-1/12"),
+        "phi": (["--N", "2", "--j", "3"], "1/3*y^3 - x*y^2"),
+        "laguerre-check": (["--N", "3", "--i", "1", "--j", "1"], "match"),
+        "hh": (["--N", "3", "--from", "0", "--to", "1"],
+               "HH^0 degrees [0..1]: [1, 0] (expected [1, 0], match=True)"),
+        "bracket": (["--N", "3", "--l", "2", "--m", "3"],
+                    "[slot 2, slot 3] ~ 3/2 * slot 5; expected 3/2, match=True; "
+                    "L-basis -1 (expected -1, match=True)"),
+        "inner": (["--file", str(document)], "x^2"),
+        "residue": (["--file", str(document)], "0"),
+        "taft": (["--N", "3", "--n", "2", "--max-degree", "1"],
+                 "q-binomials vanish: True; power collapse on 2 monomials: True; "
+                 "witness d^2(y) = (2) (nonzero: True)"),
+        "aut": (["order", "--N", "2", "--a", '{"lambda": "-1/1", "f": []}'], "2"),
+        "veronese": (["--N", "4", "--m", "3", "--from", "0", "--to", "3"], "degree 0: 1"),
+        "nil": (["--N", "4", "--r", "1", "--s", "1", "--from", "-3", "--to", "2"],
+                "containment [Nil_1, Nil_1] in Nil_2 mod inner: True; lower central series "
+                "sizes on window: [4, 1] (computed index 2, printed index 2)"),
+    }
+    assert list(requests) == [name for name, _, _ in _PARSER_SHAPE]
+    for name, (argv, first_line) in requests.items():
+        result = run_command([name, "--help"])
+        assert result.status == 0, name
+        assert result.text.startswith(f"usage: xnalg {name} "), name
+        result = run_command([name, *argv])
+        assert result.status == 0, name
+        assert result.text.splitlines()[0] == first_line, name
+
+
+def test_cli_deep_json_exits_2(tmp_path, monkeypatch):
+    # the JSON decoder recurses per nesting level: a document nested past the
+    # recursion limit is a precondition violation, from --file, stdin or --a
+    deep = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(deep, encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.StringIO(deep))
+    for argv in (["inner", "--file", str(path)], ["residue"],
+                 ["aut", "inverse", "--N", "2", "--a", deep]):
+        result = run_command(argv)
+        assert result.status == 2, argv
+        assert result.text == "precondition violated: JSON input nests too deeply"
+    # a shallow document of the wrong shape stays a parse error
+    path.write_text("[[[]]]", encoding="utf-8")
+    assert run_command(["inner", "--file", str(path)]).status == 1
+
+
 def test_main_prints_text_and_returns_status(capsys):
     assert main(["norm", "y*x - x*y", "--N", "4"]) == 0
     assert capsys.readouterr().out == "x^4\n"
@@ -457,7 +616,9 @@ def test_inner_witness_recheck_fires(monkeypatch, tmp_path):
 
 def test_slice_check_fires_on_a_corrupted_d0(monkeypatch):
     # d1 . d0 is formed from the rows that are ranked, so a d0 row that lost
-    # an entry must fail the check, in the library and as exit 3
+    # an entry must fail the check, in the library and as exit 3; at N=3,
+    # l=2 the corrupted row is one that no d1 row reads, and the re-check
+    # against ad_phi catches it
     real = cohomology._matrix
 
     def corrupted(columns, bases):
@@ -468,16 +629,19 @@ def test_slice_check_fires_on_a_corrupted_d0(monkeypatch):
         return rows
 
     ctx = AlgebraCtx(3)
-    cohomology.build_slice(ctx, 6)
-    argv = ["hh", "--N", "3", "--from", "6", "--to", "6"]
-    assert run_command(argv).status == 0
+    for l, message in ((6, "the slice differentials do not compose to zero"),
+                       (2, "a d0 row disagrees with ad_phi")):
+        cohomology.build_slice(ctx, l)
+        argv = ["hh", "--N", "3", "--from", str(l), "--to", str(l)]
+        assert run_command(argv).status == 0
 
-    monkeypatch.setattr(cohomology, "_matrix", corrupted)
-    with pytest.raises(AssertionError, match="do not compose to zero"):
-        cohomology.build_slice(ctx, 6)
-    result = run_command(argv)
-    assert result.status == 3
-    assert result.text == "internal invariant breach: the slice differentials do not compose to zero"
+        with monkeypatch.context() as patch:
+            patch.setattr(cohomology, "_matrix", corrupted)
+            with pytest.raises(AssertionError, match=message):
+                cohomology.build_slice(ctx, l)
+            result = run_command(argv)
+        assert result.status == 3
+        assert result.text == f"internal invariant breach: {message}"
 
 
 def _twisted_document():

@@ -301,11 +301,8 @@ def _cmd_laguerre_check(ns):
 
 
 def _cmd_hh(ns):
-    if ns.twist_order is None:
-        ctx, omega = _ctx_from(ns), None
-    else:
-        ctx = AlgebraCtx(ns.N, False, CycloField(ns.twist_order))
-        omega = ctx.field.zeta
+    ctx = AlgebraCtx(ns.N, False, CycloField(1 if ns.twist_order is None else ns.twist_order))
+    omega = None if ns.twist_order is None else ctx.field.zeta
     reports = hh_reports(ctx, ns.lo, ns.hi, omega)
     if ns.p is not None:
         reports = reports[ns.p : ns.p + 1]
@@ -418,9 +415,9 @@ def _cmd_nil(ns):
 # --- subcommand table ------------------------------------------------------
 #
 # One entry per subcommand: name, help line, handler and its arguments in
-# order.  An argument is (flag, add_argument keywords); a list of arguments is
-# a mutually exclusive group; `_int` makes a required integer option.  Every
-# subcommand also takes --json.
+# order.  An argument is (flag, add_argument keywords); `_int` makes a
+# required integer option.  Every subcommand also takes --json.  A field or
+# localization option is offered only where it can change the answer.
 
 
 def _int(flag, **kw):
@@ -442,10 +439,10 @@ _COMMANDS = (
     ("phi", "the degree-j(N-1) element with bracket x^N y^{j-1}", _cmd_phi,
      [_int("--j"), _N, _FIELD, _LOCALIZED]),
     ("laguerre-check", "conjugation identity for normal-order powers", _cmd_laguerre_check,
-     [_int("--i"), _int("--j"), _N, _FIELD, _LOCALIZED]),
+     [_int("--i"), _int("--j"), _N]),
     ("hh", "cohomology dimensions over a degree window", _cmd_hh,
      [("--p", {"type": int, "choices": (0, 1, 2)}),
-      [_FIELD, ("--twist-order", {"type": int})], _N, _FROM, _TO]),
+      ("--twist-order", {"type": int}), _N, _FROM, _TO]),
     ("bracket", "bracket table entry with witness", _cmd_bracket,
      [_int("--l"), _int("--m"), _N, _FIELD]),
     ("inner", "innerness decision with witness (derivation JSON on stdin or --file)", _cmd_inner,
@@ -460,7 +457,7 @@ _COMMANDS = (
     ("veronese", "fixed monomials of the diagonal order-m automorphism", _cmd_veronese,
      [_int("--m"), _N, _FROM, _TO]),
     ("nil", "nilpotent chain containment on a window", _cmd_nil,
-     [_int("--r"), _int("--s"), _N, _FIELD, _FROM, _TO]),
+     [_int("--r"), _int("--s"), _N, _FROM, _TO]),
 )
 
 
@@ -469,13 +466,8 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name, blurb, handler, args in _COMMANDS:
         p = sub.add_parser(name, help=blurb)
-        for arg in args:
-            if isinstance(arg, list):
-                group = p.add_mutually_exclusive_group()
-                for flag, kw in arg:
-                    group.add_argument(flag, **kw)
-            else:
-                p.add_argument(arg[0], **arg[1])
+        for flag, kw in args:
+            p.add_argument(flag, **kw)
         p.add_argument("--json", action="store_true")
         p.set_defaults(handler=handler)
     return parser

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import linalg
 from .maps import (
@@ -30,7 +31,7 @@ from .maps import (
     relation_residual,
     restrict_to_algebra,
 )
-from .ncalg import AlgebraCtx, Element, basis_of_degree
+from .ncalg import AlgebraCtx, Element, basis_of_degree, commutator
 from .scalars import CycloField, scalar_to_json
 from .sequences import gaussian_binomial
 
@@ -117,12 +118,11 @@ def build_slice(ctx: AlgebraCtx, l: int, omega=None) -> ComplexSlice:
     """Assemble the degree-l slice; `omega` twists the bimodule by the
     diagonal automorphism x -> omega x, y -> omega^{N-1} y.
 
-    The composite d1 . d0 of the returned rows is checked to vanish, and a
-    d0 row that no d1 row reads is checked against ad_phi, before the slice
-    is returned.  Without a twist (or with omega = 1) every entry
-    is an integer combination of the commutation weights, so the rows are
-    assembled and checked on Python ints from the integer unit, and each
-    nonzero becomes a field scalar only after the check.
+    The rows are assembled from integer-unit monomials, so the twist enters
+    only through lam^k and phi(y) and every other weight stays a Python int.
+    The composite d1 . d0 of those rows is checked to vanish, and a d0 row
+    that no d1 row reads is checked against ad_phi; each nonzero becomes a
+    field scalar only after the checks.
     """
     if ctx.N < 2:
         raise ValueError("degreewise cohomology needs N >= 2")
@@ -132,7 +132,6 @@ def build_slice(ctx: AlgebraCtx, l: int, omega=None) -> ComplexSlice:
     twist = None
     if omega is not None and omega != ctx.field.one:
         twist = Automorphism.diagonal(ctx, omega)
-    unit = 1 if twist is None else ctx.field.one
 
     basis0 = basis_of_degree(ctx, l)
     basis1x = basis_of_degree(ctx, l + 1)
@@ -142,11 +141,11 @@ def build_slice(ctx: AlgebraCtx, l: int, omega=None) -> ComplexSlice:
 
     d0_columns = []
     for mono in basis0:
-        d = ad_phi(Element(ctx, {mono: unit}), twist)
+        d = ad_phi(Element(ctx, {mono: 1}), twist)
         d0_columns.append((d.dx, d.dy))
     d0 = _matrix(d0_columns, [basis1x, basis1y])
-    residuals = [relation_residual(Element(ctx, {m: unit}), zero, twist) for m in basis1x]
-    residuals += [relation_residual(zero, Element(ctx, {m: unit}), twist) for m in basis1y]
+    residuals = [relation_residual(Element(ctx, {m: 1}), zero, twist) for m in basis1x]
+    residuals += [relation_residual(zero, Element(ctx, {m: 1}), twist) for m in basis1y]
     d1 = _matrix([(r,) for r in residuals], [basis2])
 
     # d1 . d0 on the rows that are ranked (before any conversion to field
@@ -165,15 +164,14 @@ def build_slice(ctx: AlgebraCtx, l: int, omega=None) -> ComplexSlice:
     read = {mid for row in d1 for mid in row}
     unread = [r for r in range(len(d0)) if r not in read]
     if unread:
-        image = ad_phi(Element(ctx, {m: (k + 1) * unit for k, m in enumerate(basis0)}), twist)
+        image = ad_phi(Element(ctx, {m: k + 1 for k, m in enumerate(basis0)}), twist)
         expected = [image.dx.terms.get(m, 0) for m in basis1x]
         expected += [image.dy.terms.get(m, 0) for m in basis1y]
         if any(sum((k + 1) * c for k, c in d0[r].items()) != expected[r] for r in unread):
             raise AssertionError("a d0 row disagrees with ad_phi")
-    if twist is None:
-        scalar = Fraction if ctx.field.order == 1 else ctx.coerce
-        d0 = [{col: scalar(c) for col, c in row.items()} for row in d0]
-        d1 = [{col: scalar(c) for col, c in row.items()} for row in d1]
+    scalar = Fraction if ctx.field.order == 1 else ctx.coerce
+    d0 = [{col: scalar(c) for col, c in row.items()} for row in d0]
+    d1 = [{col: scalar(c) for col, c in row.items()} for row in d1]
 
     return ComplexSlice(ctx, l, omega, basis0, basis1x, basis1y, basis2, d0, d1)
 
@@ -551,8 +549,7 @@ def taft_obstruction(N: int, n: int, max_degree: int = 6) -> TaftReport:
         for _ in range(n):
             lhs = d.apply(lhs)
         a_loc = Element(loc, a.terms)
-        rhs = u_n * a_loc - a_loc * u_n
-        if Element(loc, lhs.terms) != rhs:
+        if Element(loc, lhs.terms) != commutator(u_n, a_loc):
             collapse_ok = False
         checked += 1
 
@@ -633,7 +630,7 @@ def veronese_relation_report(N: int, m: int) -> VeroneseRelationReport:
     if m < 1 or (N - 1) % m != 0:
         raise ValueError("this report needs m to divide N-1")
     ctx = AlgebraCtx(N)
-    value = ctx.y() * ctx.x(m) - ctx.x(m) * ctx.y()
+    value = commutator(ctx.y(), ctx.x(m))
     expected = ctx.monomial(m + N - 1, 0, m)
     if value != expected:
         raise AssertionError("normal form of [y, x^m] is off")
@@ -703,13 +700,9 @@ def nil_chain_check(ctx: AlgebraCtx, r: int, s: int, lo: int, hi: int) -> NilRep
     window = range(lo, hi + 1)
     rho = lambda k: k % (N - 1)
 
-    cache: dict[tuple, object] = {}
-
+    @cache
     def coeff(a, b):
-        key = (a, b)
-        if key not in cache:
-            cache[key] = bracket_table(ctx, a, b).l_computed
-        return cache[key]
+        return bracket_table(ctx, a, b).l_computed
 
     violations = []
     for a in window:

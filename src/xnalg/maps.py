@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .ncalg import AlgebraCtx, CtxMismatchError, Element, add_word, phi_element
+from .ncalg import AlgebraCtx, CtxMismatchError, Element, add_word, commutator, phi_element
 from .scalars import SchemaError, scalar_from_json, scalar_to_json
 
 
@@ -105,15 +105,13 @@ class Automorphism:
             raise CtxMismatchError(f"{a.ctx!r} vs {self.ctx!r}")
         ctx = a.ctx
         k = ctx.N - 1
-        y_img = self.y_image()
-        if ctx.localized:
-            y_img = Element(ctx, y_img.terms)
+        lam_power, y_img = _twist_images(ctx, self)
         ypow = [ctx.one()]
         out: dict = {}
         for (i, j), c in a.terms.items():
             while len(ypow) <= j:
                 ypow.append(ypow[-1] * y_img)
-            ci = c * self.lam_power(i)
+            ci = c * lam_power(i)
             for (u, v), g in ypow[j].terms.items():
                 add_word(out, ci * g, i, 0, u, v, k)
         return Element(ctx, out)
@@ -194,7 +192,7 @@ def exp_ad(ctx: AlgebraCtx, f) -> Automorphism:
     for gen, image in ((ctx.x(), result.x_image()), (ctx.y(), result.y_image())):
         acc, term, k = gen, gen, 1
         while True:
-            term = term * f_elt - f_elt * term
+            term = commutator(term, f_elt)
             if not term:
                 break
             acc = acc + term / math.factorial(k)

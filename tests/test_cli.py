@@ -198,14 +198,20 @@ def test_cli_exit_codes():
     assert run_command(["norm", "x +* y", "--N", "2"]).status == 1
     # options a subcommand does not read are not accepted (exit 1): inner and
     # residue read N and the field from the document, taft and veronese build
-    # their own cyclotomic fields, and hh takes one scalar field or a twist
+    # their own cyclotomic fields, and no field can change the answer of hh,
+    # nil or laguerre-check (nor the localization that of laguerre-check)
     for argv in (["inner", "--N", "3"], ["inner", "--field-order", "2"],
                  ["residue", "--N", "3"], ["residue", "--field-order", "2"],
                  ["taft", "--N", "3", "--n", "2", "--field-order", "0"],
                  ["veronese", "--N", "4", "--m", "3", "--from", "0", "--to", "3",
                   "--field-order", "2"],
                  ["hh", "--N", "3", "--from", "0", "--to", "2", "--field-order", "1",
-                  "--twist-order", "2"]):
+                  "--twist-order", "2"],
+                 ["hh", "--N", "3", "--from", "0", "--to", "2", "--field-order", "2"],
+                 ["nil", "--N", "4", "--r", "1", "--s", "1", "--from", "-3", "--to", "2",
+                  "--field-order", "2"],
+                 ["laguerre-check", "--N", "3", "--i", "1", "--j", "1", "--field-order", "2"],
+                 ["laguerre-check", "--N", "3", "--i", "1", "--j", "1", "--localized"]):
         assert run_command(argv).status == 1, argv
     # precondition violations exit 2
     assert run_command(["hh", "--N", "1", "--p", "1", "--from", "0", "--to", "2"]).status == 2
@@ -409,13 +415,10 @@ _PARSER_SHAPE = [
         (("--i",), "i", "int", True, None, None, None, None),
         (("--j",), "j", "int", True, None, None, None, None),
         (("--N",), "N", "int", True, None, None, "relation exponent", None),
-        (("--field-order",), "field_order", "int", False, None, None, None, None),
-        (("--localized",), "localized", None, False, False, None, None, None),
     ]),
     ("hh", "cohomology dimensions over a degree window", [
         (("--p",), "p", "int", False, None, (0, 1, 2), None, None),
-        (("--field-order",), "field_order", "int", False, None, None, None, 0),
-        (("--twist-order",), "twist_order", "int", False, None, None, None, 0),
+        (("--twist-order",), "twist_order", "int", False, None, None, None, None),
         (("--N",), "N", "int", True, None, None, "relation exponent", None),
         (("--from",), "lo", "int", True, None, None, None, None),
         (("--to",), "hi", "int", True, None, None, None, None),
@@ -458,7 +461,6 @@ _PARSER_SHAPE = [
         (("--r",), "r", "int", True, None, None, None, None),
         (("--s",), "s", "int", True, None, None, None, None),
         (("--N",), "N", "int", True, None, None, "relation exponent", None),
-        (("--field-order",), "field_order", "int", False, None, None, None, None),
         (("--from",), "lo", "int", True, None, None, None, None),
         (("--to",), "hi", "int", True, None, None, None, None),
     ]),

@@ -1,9 +1,12 @@
+import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from xnalg import linalg
+from xnalg.cli import run_command
 from xnalg.cohomology import (
     bracket_table,
     build_slice,
@@ -159,7 +162,9 @@ def test_slice_rows_match_the_product_chain_reference():
 
 def test_identity_twist_slices_take_the_integer_path(monkeypatch):
     # omega = 1 is the untwisted complex: the slice is assembled from integer
-    # monomials without a twist and equals the untwisted slice
+    # monomials without a twist and equals the untwisted slice; a genuine
+    # twist enters only through lam^k and phi(y), so its slice is assembled
+    # from integer monomials too, with the twist set
     from xnalg import cohomology
 
     seen = []
@@ -176,6 +181,14 @@ def test_identity_twist_slices_take_the_integer_path(monkeypatch):
             twisted, plain = build_slice(ctx, l, field.one), build_slice(ctx, l)
             assert (twisted.d0, twisted.d1) == (plain.d0, plain.d1)
     assert seen and all(twist is None and kinds == {int} for twist, kinds in seen)
+    f3 = CycloField(3)
+    for field, omega in ((f3, f3.zeta), (CycloField(1), Fraction(2))):
+        ctx = AlgebraCtx(3, False, field)
+        for l in (0, 5):
+            seen.clear()
+            build_slice(ctx, l, omega)
+            assert seen and all(twist is not None and twist.lam == omega and kinds == {int}
+                                for twist, kinds in seen), (field, l)
 
 
 def test_operations_over_q_return_fraction_coefficients():
@@ -658,6 +671,26 @@ def test_nil_chain():
         for m in window:
             if l % 2 == 1 and m % 2 == 1:
                 assert bracket_table(ctx3, l, m).inner
+
+
+def test_nil_chain_reports_violations(monkeypatch):
+    # a bracket table that never vanishes breaks the containment: every pair
+    # it reports lands below level r+s, and the discrepancy is data, so the
+    # command still exits 0
+    from xnalg import cohomology
+
+    monkeypatch.setattr(cohomology, "bracket_table",
+                        lambda ctx, l, m: SimpleNamespace(l_computed=Fraction(1)))
+    N, r, s = 4, 1, 1
+    report = nil_chain_check(AlgebraCtx(N), r, s, -3, 6)
+    assert not report.containment_ok and not report
+    assert report.violations
+    assert all((a + b) % (N - 1) < r + s for a, b in report.violations)
+    result = run_command(["nil", "--N", "4", "--r", "1", "--s", "1", "--from", "-3",
+                          "--to", "6", "--json"])
+    assert result.status == 0
+    assert result.payload["containment_ok"] is False
+    assert json.loads(result.text)["containment_ok"] is False
 
 
 def test_twisted_representatives_realize_dims():

@@ -538,32 +538,21 @@ def taft_obstruction(N: int, n: int, max_degree: int = 6) -> TaftReport:
     d = restrict_to_algebra(ad_phi(loc.x(-1), twist))
     u_n = loc.x(-n)
 
-    collapse_ok = True
-    checked = 0
-    monomials = []
-    for l in range(max_degree + 1):
-        monomials.extend(basis_of_degree(ctx, l))
-    for mono in monomials:
-        a = ctx.monomial(*mono)
-        lhs = a
+    def d_n(a):
         for _ in range(n):
-            lhs = d.apply(lhs)
-        a_loc = Element(loc, a.terms)
-        if Element(loc, lhs.terms) != commutator(u_n, a_loc):
-            collapse_ok = False
-        checked += 1
+            a = d.apply(a)
+        return a
 
-    witness = (0, 1)
-    value = ctx.y()
-    for _ in range(n):
-        value = d.apply(value)
+    monos = [ctx.monomial(*m) for l in range(max_degree + 1) for m in basis_of_degree(ctx, l)]
+    agree = [Element(loc, d_n(a).terms) == commutator(u_n, Element(loc, a.terms)) for a in monos]
+    value = d_n(ctx.y())
     return TaftReport(
         N=N,
         n=n,
         qbinom_vanishing=vanishing,
-        collapse_ok=collapse_ok,
-        checked_monomials=checked,
-        witness_monomial=witness,
+        collapse_ok=all(agree),
+        checked_monomials=len(agree),
+        witness_monomial=(0, 1),
         witness_nonzero=bool(value),
         witness_value=value,
     )

@@ -5,8 +5,9 @@ entries.  One forward elimination serves `rank` and `solve`.  It takes pivot
 columns left to right, which are the pivot columns of the dense reduced row
 echelon form, and in each pivots on the shortest row nonzero there
 (Markowitz's rule), which keeps fill-in low.  So the solution with free
-variables set to zero is the vector a dense elimination gives.  Division by
-pivots is exact in every supported field: no tolerance enters anywhere.
+variables set to zero is the vector a dense elimination gives.  Pivot rows
+stay unscaled; `solve` divides by each pivot once, in back substitution.
+Every division is exact in every supported field: no tolerance enters.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from __future__ import annotations
 
 def _eliminate(rows, ncols):
     """Forward elimination on copies of `rows` over the columns below `ncols`:
-    the pivots in column order as (column, row) pairs, each row scaled to 1 in
-    its column with that entry dropped, and the nonzero rows left over (zero
-    below `ncols`)."""
+    the pivots in column order as (column, pivot, row) triples, each row kept
+    unscaled with its pivot entry dropped, and the nonzero rows left over
+    (zero below `ncols`)."""
     active = [dict(row) for row in rows if row]
     pivots = []
     for col in range(ncols):
@@ -24,19 +25,20 @@ def _eliminate(rows, ncols):
         if not hits:
             continue
         source = min(hits, key=len)
-        inv = 1 / source.pop(col)
-        pivot = {c: v * inv for c, v in source.items()}
+        p = source.pop(col)
         for row in hits:
             if row is source:
                 continue
             f = row.pop(col)
-            for c, v in pivot.items():
+            if source:
+                f /= p
+            for c, v in source.items():
                 w = row.pop(c, None)
                 w = -f * v if w is None else w - f * v
                 if w:
                     row[c] = w
         active = [row for row in active if row and row is not source]
-        pivots.append((col, pivot))
+        pivots.append((col, p, source))
     return pivots, active
 
 
@@ -52,8 +54,7 @@ def solve(rows, rhs, ncols, field):
     if rest:
         return None
     x = {}
-    for col, row in reversed(pivots):
-        x[col] = row.get(ncols, field.zero) - sum(
-            (v * x[c] for c, v in row.items() if c in x), field.zero
-        )
+    for col, p, row in reversed(pivots):
+        known = sum((v * x[c] for c, v in row.items() if c in x), field.zero)
+        x[col] = (row.get(ncols, field.zero) - known) / p
     return [x.get(c, field.zero) for c in range(ncols)]

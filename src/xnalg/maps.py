@@ -350,18 +350,18 @@ class GenDerivation:
             raise ValueError("derivation is not homogeneous")
         return candidates.pop()
 
+    def _rebase(self, ctx) -> "GenDerivation":
+        """The same generator images and twist over `ctx`, which differs only
+        by localization; the memoized well-definedness carries over."""
+        dx, dy = Element(ctx, self.dx.terms), Element(ctx, self.dy.terms)
+        out = GenDerivation(ctx, dx, dy, self.twist)
+        out._well_defined = self._well_defined
+        return out
+
     def extend_localized(self) -> "GenDerivation":
         """The same generator images over the localized context; application
         then handles negative x-exponents."""
-        ctx = self.ctx.localize()
-        ext = GenDerivation(
-            ctx,
-            Element(ctx, self.dx.terms),
-            Element(ctx, self.dy.terms),
-            self.twist,
-        )
-        ext._well_defined = self._well_defined
-        return ext
+        return self._rebase(self.ctx.localize())
 
     def bracket(self, other: "GenDerivation") -> "GenDerivation":
         """The commutator self o other - other o self, as a generator-determined
@@ -486,15 +486,7 @@ def restrict_to_algebra(d: GenDerivation) -> GenDerivation:
     for img in (d.dx, d.dy):
         if any(i < 0 for (i, _) in img.terms):
             raise ValueError("generator images do not lie in the algebra")
-    ctx = d.ctx.unlocalized()
-    out = GenDerivation(
-        ctx,
-        Element(ctx, d.dx.terms),
-        Element(ctx, d.dy.terms),
-        d.twist,
-    )
-    out._well_defined = d._well_defined
-    return out
+    return d._rebase(d.ctx.unlocalized())
 
 
 def is_locally_ad_nilpotent(u: Element) -> bool:

@@ -28,7 +28,7 @@ from .scalars import (
     scalar_from_json,
     scalar_to_json,
 )
-from .sequences import c_eval, laguerre_poly, pochhammer_k
+from .sequences import MAX_C_INDEX, c_eval, laguerre_poly, pochhammer_k
 
 
 # the scalar types some coefficient ring accepts; anything else leaves the
@@ -371,6 +371,8 @@ def phi_element(ctx: AlgebraCtx, j: int) -> Element:
     """
     if j < 1:
         raise ValueError("phi_element wants j >= 1")
+    if j > MAX_C_INDEX + 1:
+        raise ValueError(f"phi_element index {j} is above the budget of {MAX_C_INDEX + 1}")
     if ctx.N < 1:
         raise ValueError("phi_element wants N >= 1")
     k = ctx.N - 1

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 
 
 class FieldMismatchError(ValueError):
@@ -252,9 +253,7 @@ class QPoly:
         return f"QPoly({self.format()})"
 
 
-_cyclo_cache: dict[int, QPoly] = {}
-
-
+@cache
 def cyclotomic_polynomial(n: int) -> QPoly:
     """The n-th cyclotomic polynomial.
 
@@ -264,16 +263,12 @@ def cyclotomic_polynomial(n: int) -> QPoly:
     """
     if n < 1:
         raise ValueError("cyclotomic_polynomial is defined for n >= 1")
-    got = _cyclo_cache.get(n)
-    if got is not None:
-        return got
     poly = QPoly((-1,) + (0,) * (n - 1) + (1,))
     for d in range(1, n):
         if n % d == 0:
             poly, rem = divmod(poly, cyclotomic_polynomial(d))
             if rem:
                 raise AssertionError("cyclotomic recurrence division left a remainder")
-    _cyclo_cache[n] = poly
     return poly
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from xnalg import cohomology
+from xnalg import cohomology, sequences
 from xnalg.cli import CommandResult, ParseError, _build_parser, eval_expr, main, parse_expr, run_command
 from xnalg.maps import Automorphism, ad_phi, partial_l
 from xnalg.ncalg import AlgebraCtx, Element, render_element
@@ -313,8 +313,9 @@ def test_cli_hh_identity_twist_json_bytes():
 
 
 def test_cli_budgets_exit_2(tmp_path):
-    # inputs past a budget are refused before any slice or field is built;
-    # inputs at a budget run
+    # inputs past a budget are refused before any slice, field or sequence
+    # table is built; inputs at a budget run.  phi reads c_0 .. c_{j-1}, so
+    # its budget is one above that of cseq
     budgets = (
         (["hh", "--N", "3", "--from", "0", "--to", "100000"],
          "top degree 100000 is above the budget of 64"),
@@ -324,11 +325,20 @@ def test_cli_budgets_exit_2(tmp_path):
          "cyclotomic order 100000 is above the budget of 100"),
         (["norm", "x", "--N", "3", "--field-order", "100000"],
          "cyclotomic order 100000 is above the budget of 100"),
+        (["cseq", "--j", "5000"], "c_poly index 5000 is above the budget of 40"),
+        (["cseq", "--j", "41"], "c_poly index 41 is above the budget of 40"),
+        (["bern", "--n", "100000"], "bernoulli index 100000 is above the budget of 300"),
+        (["greg", "--n", "100000"], "gregory index 100000 is above the budget of 300"),
+        (["phi", "--N", "2", "--j", "100000"],
+         "phi_element index 100000 is above the budget of 41"),
     )
+    tables = (sequences._bernoulli, sequences._gregory, sequences._cpolys)
+    sizes = [len(t) for t in tables]
     for argv, message in budgets:
         result = run_command(argv)
         assert result.status == 2, argv
         assert result.text == f"precondition violated: {message}"
+    assert [len(t) for t in tables] == sizes
     document = ad_phi(AlgebraCtx(3).x(2)).to_json()
     document["dx"]["field"]["cyclo_order"] = 100000
     path = tmp_path / "derivation.json"
@@ -337,7 +347,8 @@ def test_cli_budgets_exit_2(tmp_path):
     assert result.status == 2
     assert result.payload == {"error": "cyclotomic order 100000 is above the budget of 100"}
     for argv in (["hh", "--N", "6", "--p", "1", "--from", "-63", "--to", "64"],
-                 ["norm", "x", "--N", "3", "--field-order", "100"]):
+                 ["norm", "x", "--N", "3", "--field-order", "100"],
+                 ["bern", "--n", "300"]):
         assert run_command(argv).status == 0, argv
 
 

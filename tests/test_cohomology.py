@@ -633,6 +633,33 @@ def test_taft_witness_values():
     assert rep.witness_value == ctx3.scalar(3)
 
 
+def test_taft_reports_a_failed_collapse(monkeypatch):
+    # a commutator that is wrong on the first monomial breaks the collapse;
+    # every monomial is still checked and counted, and the discrepancy is
+    # data, so the command still exits 0
+    from xnalg import cohomology
+
+    N, n, top = 3, 2, 4
+    calls = []
+
+    def wrong_on_one(u, a):
+        calls.append(a)
+        c = commutator(u, a)
+        return c + a if a == a.ctx.one() else c
+
+    monkeypatch.setattr(cohomology, "commutator", wrong_on_one)
+    count = sum(len(basis_of_degree(AlgebraCtx(N), l)) for l in range(top + 1))
+    report = taft_obstruction(N, n, max_degree=top)
+    assert not report.collapse_ok and not report.ok
+    assert report.checked_monomials == len(calls) == count
+    assert report.qbinom_vanishing and report.witness_nonzero
+    result = run_command(["taft", "--N", str(N), "--n", str(n), "--max-degree", str(top),
+                          "--json"])
+    assert result.status == 0
+    assert result.payload["obstructed"] is False
+    assert json.loads(result.text)["collapse_ok"] is False
+
+
 def test_veronese_examples():
     rows = dict(veronese_basis(AlgebraCtx(3), 2, 0, 4))
     assert rows[0] == [(0, 0)]

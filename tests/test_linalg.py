@@ -1,16 +1,17 @@
 """The sparse elimination of `xnalg.linalg` against the dense oracles:
 `rank` against `column_rank`, and `solve` against the dense first-row
-pivoting `solve`, vector for vector, over Q, Q(zeta_3) and Q(zeta_5)."""
+pivoting `solve`, vector for vector, over Q, Q(zeta_3), Q(zeta_4) and
+Q(zeta_5)."""
 
 import random
 from fractions import Fraction
 
 from xnalg import linalg
-from xnalg.scalars import CycloField
+from xnalg.scalars import CycloField, CycloScalar
 
 from oracles import column_rank, dense, solve
 
-FIELDS = [CycloField(n) for n in (1, 3, 5)]
+FIELDS = [CycloField(n) for n in (1, 3, 4, 5)]
 
 
 def _scalar(rng, field):
@@ -27,14 +28,18 @@ def _combine(rows, weights, zero):
 
 
 def _system(rng, field):
-    """A sparse system; some rows and columns are made dependent, and the
-    storage order of every row is shuffled (it carries no meaning)."""
+    """A sparse system; some rows get a single entry, some rows and columns
+    are made dependent, and the storage order of every row is shuffled (it
+    carries no meaning)."""
     nrows, ncols = rng.randint(0, 7), rng.randint(0, 7)
     density = rng.choice((0.15, 0.3, 0.5))
     rows = [
         {c: _scalar(rng, field) for c in range(ncols) if rng.random() < density}
         for _ in range(nrows)
     ]
+    if ncols and rng.random() < 0.3:
+        for r in rng.sample(range(nrows), nrows // 2):
+            rows[r] = {rng.randrange(ncols): _scalar(rng, field)}
     if nrows >= 3 and rng.random() < 0.5:
         weights = [_scalar(rng, field), _scalar(rng, field)]
         rows[-1] = _combine(rows[:2], weights, field.zero)
@@ -67,6 +72,9 @@ def _check(rows, rhs, ncols, field):
     got = linalg.solve(rows, rhs, ncols, field)
     assert got == solve(full, rhs, ncols, field)
     assert rows == before
+    if got is not None:
+        kind = Fraction if field.order == 1 else CycloScalar
+        assert all(type(v) is kind for v in got)
     return got
 
 
@@ -109,3 +117,20 @@ def test_shortest_candidate_row_is_not_the_first():
     assert linalg.rank(rows, 3) == 2
     tall = [{0: q(1), 1: q(1), 3: q(1)}, {3: q(1), 0: q(2)}, {1: q(1), 2: q(1)}]
     _check(tall, [q(1), q(2), q(3)], 4, field)
+
+
+def test_pivot_rows_stay_unscaled(monkeypatch):
+    # a rank reads no pivot row, so a pivot alone in its column costs no
+    # inverse; a column shared by two rows costs one division, for the row
+    # that is updated
+    field = CycloField(5)
+    z = field.zeta
+    calls = []
+    inverse = CycloScalar.inverse
+    monkeypatch.setattr(CycloScalar, "inverse", lambda a: calls.append(a) or inverse(a))
+    lone = [{0: z + 2, 2: z}, {1: z * z - 3}, {3: 2 * z + 1, 4: z}]
+    assert linalg.rank(lone, 5) == 3
+    assert calls == []
+    shared = [{0: z + 2, 1: z}, {2: z + 3, 0: z, 1: field.one}]
+    assert linalg.rank(shared, 3) == 2
+    assert calls == [z + 2]

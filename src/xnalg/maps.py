@@ -350,7 +350,7 @@ class GenDerivation:
             raise ValueError("derivation is not homogeneous")
         return candidates.pop()
 
-    def _rebase(self, ctx) -> "GenDerivation":
+    def _rebase(self, ctx: AlgebraCtx) -> "GenDerivation":
         """The same generator images and twist over `ctx`, which differs only
         by localization; the memoized well-definedness carries over."""
         dx, dy = Element(ctx, self.dx.terms), Element(ctx, self.dy.terms)

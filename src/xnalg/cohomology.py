@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 from . import linalg
 from .maps import (
@@ -31,7 +31,7 @@ from .maps import (
     relation_residual,
     restrict_to_algebra,
 )
-from .ncalg import AlgebraCtx, Element, basis_of_degree, commutator
+from .ncalg import AlgebraCtx, Element, basis_of_degree, check_phi_index, commutator
 from .scalars import CycloField, scalar_to_json
 from .sequences import gaussian_binomial
 
@@ -323,10 +323,24 @@ def is_inner(d: GenDerivation, i_min=None):
     return None if found is None else found[1]
 
 
+MAX_STANDARD_DERIVATIONS = 512  # kept per (context, slot) by the bracket tables
+
+
+@lru_cache(maxsize=MAX_STANDARD_DERIVATIONS)
 def standard_derivation(ctx: AlgebraCtx, k: int) -> GenDerivation:
     """The degree-k basis representative used by the bracket tables: the
-    grading derivation at k = 0, the standard derivation otherwise."""
-    return grading_derivation(ctx) if k == 0 else partial_l(ctx, k)
+    grading derivation at k = 0, the standard derivation otherwise.  Each is
+    built and checked once, then shared; derivations are never mutated."""
+    d = grading_derivation(ctx) if k == 0 else partial_l(ctx, k)
+    d.well_defined()  # memoized: every later use reads this one check
+    return d
+
+
+def _check_slot(N: int, l: int):
+    """Refuse slot l before anything is built when its representative reads
+    phi_{j+1} past its budget (l + 1 = i + j(N-1))."""
+    if l >= 1:
+        check_phi_index(decompose_degree(l, N)[1] + 1)
 
 
 def expected_partial_bracket(N: int, l: int, m: int):
@@ -428,6 +442,7 @@ def bracket_table(ctx: AlgebraCtx, l: int, m: int) -> BracketResult:
     if l < -ctx.N + 1 or m < -ctx.N + 1:
         raise ValueError("slots start at degree -N+1")
     N = ctx.N
+    _check_slot(N, max(l, m, l + m))
     b = standard_derivation(ctx, l).bracket(standard_derivation(ctx, m))
     n = l + m
 
@@ -688,6 +703,9 @@ def nil_chain_check(ctx: AlgebraCtx, r: int, s: int, lo: int, hi: int) -> NilRep
         raise ValueError(f"empty degree window: slots start at degree {-N + 1}, above {hi}")
     window = range(lo, hi + 1)
     rho = lambda k: k % (N - 1)
+    # the top slot built: the window's, or that of the largest containment bracket
+    tops = [max((k for k in window if rho(k) >= t), default=None) for t in (r, s)]
+    _check_slot(N, hi if None in tops else max(hi, sum(tops)))
 
     @cache
     def coeff(a, b):

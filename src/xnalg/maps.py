@@ -12,9 +12,10 @@ usable only after the defining relation has been checked to map to zero.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 from .ncalg import AlgebraCtx, CtxMismatchError, Element, add_word, commutator, phi_element
-from .scalars import SchemaError, scalar_from_json, scalar_to_json
+from .scalars import CycloField, SchemaError, numerators, scalar_from_json, scalar_to_json
 
 
 class IllDefinedDerivationError(ValueError):
@@ -248,7 +249,7 @@ def relation_residual(dx: Element, dy: Element, twist: Automorphism | None = Non
 class GenDerivation:
     """A (possibly twisted) derivation determined by its generator images."""
 
-    __slots__ = ("ctx", "dx", "dy", "twist", "_well_defined")
+    __slots__ = ("ctx", "dx", "dy", "twist", "_well_defined", "_images")
 
     def __init__(self, ctx: AlgebraCtx, dx: Element, dy: Element, twist=None):
         if dx.ctx != ctx or dy.ctx != ctx:
@@ -262,6 +263,7 @@ class GenDerivation:
         self.dy = dy
         self.twist = twist
         self._well_defined = None
+        self._images = None
 
     @classmethod
     def zero(cls, ctx):
@@ -306,17 +308,29 @@ class GenDerivation:
 
         the negative exponents by the forced rule
         d(x^{-1}) = -phi(x^{-1}) d(x) x^{-1}.  Every word goes through
-        `add_word` into one table; only the powers of phi(y) are products."""
+        `add_word` into one table; only the powers of phi(y) are products.
+        Untwisted over Q, the loop runs on integer numerators (the images' kept
+        over one denominator) and one Fraction is built per output coefficient."""
         self._demand()
         ctx = self.ctx
         if a.ctx != ctx:
             raise CtxMismatchError(f"{a.ctx!r} vs {ctx!r}")
         k = ctx.N - 1
         lam_power, phi_y = _twist_images(ctx, self.twist)
-        dx, dy = self.dx.terms.items(), self.dy.terms.items()
-        phi_ypow = [ctx.one()]
+        if self._images is None:
+            dx, dy, den = self.dx.terms, self.dy.terms, None
+            if self.twist is None and ctx.field == CycloField(1):
+                nums, den = numerators([*dx.values(), *dy.values()])
+                dx, dy = dict(zip(dx, nums)), dict(zip(dy, nums[len(dx) :]))
+            self._images = (tuple(dx.items()), tuple(dy.items()), den)
+        dx, dy, den = self._images
+        terms = a.terms
+        if den is not None:
+            nums, den_a = numerators(terms.values())
+            terms, den = dict(zip(terms, nums)), den * den_a
+        phi_ypow = [Element(ctx, {(0, 0): 1})]
         out: dict = {}
-        for (i, j), c in a.terms.items():
+        for (i, j), c in terms.items():
             for s in range(i):
                 cs = c * lam_power(s)
                 for (p, q), e in dx:
@@ -334,6 +348,8 @@ class GenDerivation:
                         cg = ci * g
                         for (p, q), e in dy:
                             add_word(out, cg * e, i + u, v, p, q + j - 1 - s, k)
+        if den is not None:
+            out = {key: Fraction(v, den) for key, v in out.items() if v}
         return Element(ctx, out)
 
     def degree(self):

@@ -363,6 +363,12 @@ def hilbert_count(ctx: AlgebraCtx, lo: int, hi: int):
     return [len(basis_of_degree(ctx, l)) for l in range(lo, hi + 1)]
 
 
+def check_phi_index(j: int):
+    """Refuse phi_j past its budget: it reads c_0(N-1) .. c_{j-1}(N-1)."""
+    if j > MAX_C_INDEX + 1:
+        raise ValueError(f"phi_element index {j} is above the budget of {MAX_C_INDEX + 1}")
+
+
 def phi_element(ctx: AlgebraCtx, j: int) -> Element:
     """The unique element of Ay, homogeneous of degree j(N-1), whose
     commutator with x is x^N y^{j-1}:
@@ -371,8 +377,7 @@ def phi_element(ctx: AlgebraCtx, j: int) -> Element:
     """
     if j < 1:
         raise ValueError("phi_element wants j >= 1")
-    if j > MAX_C_INDEX + 1:
-        raise ValueError(f"phi_element index {j} is above the budget of {MAX_C_INDEX + 1}")
+    check_phi_index(j)
     if ctx.N < 1:
         raise ValueError("phi_element wants N >= 1")
     k = ctx.N - 1

@@ -366,7 +366,7 @@ def _times_zeta(vec, low):
     return [top * low[0]] + [c + top * m for c, m in zip(vec, low[1:])]
 
 
-def _numerators(coeffs):
+def numerators(coeffs):
     """Integer numerators over one common denominator: (nums, den)."""
     den = math.lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
@@ -444,8 +444,8 @@ class CycloScalar:
         if not any(b[1:]):
             r = b[0]
             return CycloScalar(self.field, tuple(c * r if c else c for c in a))
-        na, da = _numerators(a)
-        nb, db = _numerators(b)
+        na, da = numerators(a)
+        nb, db = numerators(b)
         d = len(a)
         out = [0] * (2 * d - 1)
         for i, ca in enumerate(na):
@@ -473,7 +473,7 @@ class CycloScalar:
             if not a[0]:
                 raise ZeroDivisionError("inverse of zero")
             return CycloScalar(self.field, (1 / a[0],) + a[1:])
-        col, dn = _numerators(a)
+        col, dn = numerators(a)
         d = len(a)
         cols = [col]
         for _ in range(d - 1):

@@ -2,9 +2,10 @@
 numbers, Gregory coefficients, the q-Bernoulli polynomials c_j(q), generalized
 Laguerre polynomials, and Gaussian q-binomials.
 
-All values are exact.  The number caches only ever grow and are private to the
-module; a lock keeps concurrent population safe (recomputation would give the
-same values anyway).
+All values are exact.  The caches are private to the module, and a lock keeps
+concurrent population safe (recomputation would give the same values anyway).
+Tables only grow, except the values c_j(q0): one table per rational point q0,
+at most MAX_C_POINTS of them (oldest dropped first), filled by one recurrence.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ _bernoulli: list[Fraction] = [Fraction(1)]
 _gregory: list[Fraction] = [Fraction(1), Fraction(1, 2)]
 _cpolys: list[QPoly] = [QPoly.one()]
 _cweights: list[QPoly] = [QPoly.one()]  # (1)_{q,r} / r! at index r
+_cpoints: dict = {}  # q0 -> (c_j(q0) by j, weights at q0)
 
 # Budgets of the sequence indices, refused as precondition violations (exit 2
 # on the command line) before any table grows.  A recurrence fills its table
@@ -28,6 +30,7 @@ _cweights: list[QPoly] = [QPoly.one()]  # (1)_{q,r} / r! at index r
 # host), and each grows faster than the index cubed.
 MAX_C_INDEX = 40
 MAX_NUMBER_INDEX = 300
+MAX_C_POINTS = 16  # tables of c_eval, each of at most 2 * MAX_C_INDEX + 3 numbers
 
 
 def _check_index(name: str, j: int, budget: int):
@@ -79,27 +82,40 @@ def gregory(j: int) -> Fraction:
         return _gregory[j]
 
 
+def _fill_c(values: list, weights: list, j: int, q):
+    """Extend `values` to c_0 .. c_j, and `weights` to w_r = (1)_{q,r} / r!,
+    in the ring of q: the variable of Q[q], or a point (a ring map of Q[q])."""
+    while len(values) <= j:
+        m = len(values)
+        while len(weights) <= m + 1:
+            r = len(weights)
+            weights.append(weights[-1] * (1 + (r - 1) * q) / r)
+        acc = weights[m + 1] * values[0]
+        for i in range(1, m):
+            acc = acc + weights[m + 1 - i] * values[i] / math.factorial(i)
+        values.append(-acc * math.factorial(m))
+
+
 def c_poly(j: int) -> QPoly:
     """The j-th polynomial of the family c_j(q) in Q[q], determined by c_0 = 1
     and sum_{i<=j} (1)_{q,j+1-i}/(j+1-i)! * c_i(q)/i! = [j == 0]."""
     _check_index("c_poly", j, MAX_C_INDEX)
-    q = QPoly.gen()
     with _lock:
-        while len(_cpolys) <= j:
-            m = len(_cpolys)
-            while len(_cweights) <= m + 1:
-                r = len(_cweights)
-                _cweights.append(_cweights[-1] * (1 + (r - 1) * q) / r)
-            acc = QPoly.zero()
-            for i in range(m):
-                acc = acc + _cweights[m + 1 - i] * _cpolys[i] / math.factorial(i)
-            _cpolys.append(-acc * math.factorial(m))
+        _fill_c(_cpolys, _cweights, j, QPoly.gen())
         return _cpolys[j]
 
 
-def c_eval(j: int, q0):
-    """c_j evaluated at a scalar point."""
-    return c_poly(j).eval(q0)
+def c_eval(j: int, q0) -> Fraction:
+    """c_j at a rational point q0, by the recurrence run on values at q0; the
+    polynomial table is not filled."""
+    _check_index("c_eval", j, MAX_C_INDEX)
+    q0 = Fraction(q0)
+    with _lock:
+        if q0 not in _cpoints and len(_cpoints) >= MAX_C_POINTS:
+            del _cpoints[next(iter(_cpoints))]
+        values, weights = _cpoints.setdefault(q0, ([Fraction(1)], [Fraction(1)]))
+        _fill_c(values, weights, j, q0)
+        return values[j]
 
 
 def falling_binomial(top, m: int) -> Fraction:

@@ -352,6 +352,33 @@ def test_cli_budgets_exit_2(tmp_path):
         assert run_command(argv).status == 0, argv
 
 
+def test_cli_bracket_and_nil_refuse_late_slots_up_front():
+    # the top slot a request would build is checked before any derivation is:
+    # bracket reads slots l, m and l + m; nil's containment loop reaches the
+    # sum of the largest slots of Nil_r and Nil_s in its window
+    refusals = (
+        (["bracket", "--N", "3", "--l", "60", "--m", "64"],
+         "phi_element index 63 is above the budget of 41"),
+        (["bracket", "--N", "2", "--l", "-1", "--m", "42"],
+         "phi_element index 43 is above the budget of 41"),
+        (["bracket", "--N", "2", "--l", "20", "--m", "21"],
+         "phi_element index 42 is above the budget of 41"),
+        (["nil", "--N", "5", "--r", "1", "--s", "1", "--from", "-4", "--to", "200"],
+         "phi_element index 100 is above the budget of 41"),
+        (["nil", "--N", "3", "--r", "1", "--s", "1", "--from", "-2", "--to", "41"],
+         "phi_element index 42 is above the budget of 41"),
+    )
+    built = cohomology.standard_derivation.cache_info().misses
+    for argv, message in refusals:
+        result = run_command(argv)
+        assert result.status == 2, argv
+        assert result.text == f"precondition violated: {message}"
+    assert cohomology.standard_derivation.cache_info().misses == built
+    result = run_command(["bracket", "--N", "2", "--l", "20", "--m", "20"])
+    assert result.status == 0
+    assert result.text.endswith("L-basis 0 (expected 0, match=True)")
+
+
 def test_cli_schema_error(tmp_path):
     bad = {
         "twist": None,

@@ -720,6 +720,28 @@ def test_nil_chain_reports_violations(monkeypatch):
     assert json.loads(result.text)["containment_ok"] is False
 
 
+def test_cached_standard_derivations_survive_a_nil_window():
+    # the bracket tables share one representative per (context, slot), built
+    # and checked once; after a whole nil window each still carries the
+    # generator images it was built with, equal to a fresh build
+    from xnalg import cohomology
+
+    ctx = AlgebraCtx(5)
+    lo, hi = -4, 12
+    slots = range(lo, 2 * hi + 1)
+    cached = {k: standard_derivation(ctx, k) for k in slots}
+    snapshot = {k: (dict(d.dx.terms), dict(d.dy.terms)) for k, d in cached.items()}
+    assert all(d._well_defined is True for d in cached.values())
+    nil_chain_check(ctx, 1, 1, lo, hi)
+    for k in slots:
+        d = standard_derivation(ctx, k)
+        assert d is cached[k]
+        fresh = grading_derivation(ctx) if k == 0 else partial_l(ctx, k)
+        assert (d.dx.terms, d.dy.terms) == snapshot[k] == (fresh.dx.terms, fresh.dy.terms)
+    info = cohomology.standard_derivation.cache_info()
+    assert info.maxsize == cohomology.MAX_STANDARD_DERIVATIONS
+
+
 def test_twisted_representatives_realize_dims():
     # the inner-from-the-localization family spans the twisted cohomology in
     # every degree of a window; for N = 3 the replacement family is used

@@ -316,8 +316,11 @@ def test_apply_against_brute_expansion():
     # standard, grading, locally nilpotent and twisted inner derivations (the
     # twists diagonal, or diagonal with a shear part), on random elements with
     # x-exponents down to -3, against the Leibniz rule expanded letter by
-    # letter on words and normalized by rewriting
+    # letter on words and normalized by rewriting.  Each derivation is reused
+    # on further operands (a second generator keeps the first one's draws), and
+    # every coefficient over Q is a Fraction
     rng = random.Random(808)
+    more = random.Random(809)
     nonzero = 0
     for trial in range(80):
         N = rng.randint(2, 4)
@@ -341,16 +344,22 @@ def test_apply_against_brute_expansion():
             d = d.extend_localized()
         a = _nonzero_element(rng, d.ctx)
         lam, f = _twist_parameters(d)
-        got = d.apply(a)
-        assert got.terms == brute_apply(a.terms, d.dx.terms, d.dy.terms, N, lam, f), (d, a)
-        nonzero += bool(got)
-    assert nonzero > 60
+        for a in (a, *(_nonzero_element(more, d.ctx) for _ in range(2))):
+            got = d.apply(a)
+            assert got.terms == brute_apply(a.terms, d.dx.terms, d.dy.terms, N, lam, f), (d, a)
+            assert all(type(c) is Fraction for c in got.terms.values()), (d, a)
+            nonzero += bool(got)
+    assert nonzero > 180
 
 
 def test_apply_against_product_chain():
     # over Q and Q(zeta_n), plain and localized, untwisted, diagonal and
-    # diagonal-plus-shear twists, against the chain of whole-element products
+    # diagonal-plus-shear twists, against the chain of whole-element products.
+    # Each derivation is reused on further operands (a second generator keeps
+    # the first one's draws), the unlocalized ones also on localized operands
+    # through extend_localized; every coefficient over Q is a Fraction
     rng = random.Random(1707)
+    more = random.Random(1708)
     nonzero = 0
     for trial in range(120):
         order = (1, 3, 4, 5)[trial % 4]
@@ -378,10 +387,17 @@ def test_apply_against_product_chain():
         if localized and not d.ctx.localized:
             d = d.extend_localized()
         a = _nonzero_element(rng, d.ctx, terms=4)
-        got = d.apply(a)
-        assert got == product_chain_apply(d, a), (d, a)
-        nonzero += bool(got)
-    assert nonzero > 100
+        uses = [(d, a), *((d, _nonzero_element(more, d.ctx, terms=3)) for _ in range(2))]
+        if not d.ctx.localized:
+            wide = d.extend_localized()
+            uses += [(wide, _nonzero_element(more, wide.ctx, terms=3)) for _ in range(2)]
+        for d, a in uses:
+            got = d.apply(a)
+            assert got == product_chain_apply(d, a), (d, a)
+            if order == 1:
+                assert all(type(c) is Fraction for c in got.terms.values()), (d, a)
+            nonzero += bool(got)
+    assert nonzero > 360
 
 
 def test_ad_phi_against_product_chain():

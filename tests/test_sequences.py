@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from xnalg import sequences
 from xnalg.scalars import QPoly, cyclo_primitive_root
 from xnalg.sequences import (
     bernoulli,
@@ -105,6 +106,32 @@ def test_c_eval_specializations():
         assert c_eval(j, Fraction(2)) == -Fraction(double_factorial(2 * j - 3), 2)
     # the constant term is the Bernoulli number
     assert c_eval(1, Fraction(0)) == Fraction(-1, 2)
+
+
+def test_c_eval_matches_the_polynomial_table_without_filling_it(monkeypatch):
+    # the recurrence run on values at a point gives the values of the
+    # polynomials there, and never touches the polynomial table
+    points = [Fraction(0), *map(Fraction, range(1, 7)), Fraction(1, 2), Fraction(-3, 2)]
+    with monkeypatch.context() as patch:
+        patch.setattr(sequences, "_cpolys", [QPoly.one()])
+        patch.setattr(sequences, "_cweights", [QPoly.one()])
+        patch.setattr(sequences, "_cpoints", {})
+        values = {(j, q0): c_eval(j, q0) for q0 in reversed(points) for j in range(41)}
+        assert sequences._cpolys == [QPoly.one()]
+        assert sequences._cweights == [QPoly.one()]
+    for (j, q0), value in values.items():
+        assert type(value) is Fraction
+        assert value == c_poly(j).eval(q0), (j, q0)
+    with pytest.raises(ValueError, match="c_eval index 41 is above the budget of 40"):
+        c_eval(41, 1)
+
+
+def test_c_eval_keeps_a_bounded_number_of_points(monkeypatch):
+    monkeypatch.setattr(sequences, "_cpoints", {})
+    for q0 in range(3 * sequences.MAX_C_POINTS):
+        assert c_eval(3, q0) == c_poly(3).eval(Fraction(q0))
+        assert len(sequences._cpoints) <= sequences.MAX_C_POINTS
+    assert c_eval(3, 0) == c_poly(3).eval(Fraction(0))
 
 
 def test_generating_function_identity():

@@ -106,10 +106,11 @@ def c_poly(j: int) -> QPoly:
 
 
 def c_eval(j: int, q0) -> Fraction:
-    """c_j at a rational point q0, by the recurrence run on values at q0; the
-    polynomial table is not filled."""
+    """c_j at an int or Fraction point q0, by the recurrence run on values at
+    q0; the polynomial table is not filled (c_poly(j).eval takes any point)."""
     _check_index("c_eval", j, MAX_C_INDEX)
-    q0 = Fraction(q0)
+    if not isinstance(q0, (int, Fraction)):
+        raise ValueError(f"c_eval takes an int or Fraction point, not {type(q0).__name__}")
     with _lock:
         if q0 not in _cpoints and len(_cpoints) >= MAX_C_POINTS:
             del _cpoints[next(iter(_cpoints))]

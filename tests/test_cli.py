@@ -367,6 +367,10 @@ def test_cli_bracket_and_nil_refuse_late_slots_up_front():
          "phi_element index 100 is above the budget of 41"),
         (["nil", "--N", "3", "--r", "1", "--s", "1", "--from", "-2", "--to", "41"],
          "phi_element index 42 is above the budget of 41"),
+        # N is checked before any slot
+        (["bracket", "--N", "1", "--l", "1", "--m", "1"], "bracket tables need N >= 2"),
+        (["nil", "--N", "2", "--r", "1", "--s", "1", "--from", "0", "--to", "200"],
+         "the nilpotent chain is trivial below N = 3"),
     )
     built = cohomology.standard_derivation.cache_info().misses
     for argv, message in refusals:

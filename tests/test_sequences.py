@@ -134,6 +134,17 @@ def test_c_eval_keeps_a_bounded_number_of_points(monkeypatch):
     assert c_eval(3, 0) == c_poly(3).eval(Fraction(0))
 
 
+def test_c_eval_refuses_points_that_are_not_rational(monkeypatch):
+    # a float would be read as its binary fraction, and a Q(zeta_n) point has
+    # no table; c_poly(j).eval takes either
+    monkeypatch.setattr(sequences, "_cpoints", {})
+    zeta = cyclo_primitive_root(3)
+    for q0, name in ((0.5, "float"), (zeta, "CycloScalar")):
+        with pytest.raises(ValueError, match=f"c_eval takes an int or Fraction point, not {name}"):
+            c_eval(2, q0)
+    assert sequences._cpoints == {}
+
+
 def test_generating_function_identity():
     # sum c_j(q) t^j / j!  times  sum (1)_{q, j+1} t^j / (j+1)!  equals 1
     q = QPoly.gen()

@@ -15,9 +15,11 @@ ranks are exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
+from types import SimpleNamespace
 
 from . import linalg
 from .maps import (
@@ -32,7 +34,7 @@ from .maps import (
     restrict_to_algebra,
 )
 from .ncalg import AlgebraCtx, Element, basis_of_degree, check_phi_index, commutator
-from .scalars import CycloField, scalar_to_json
+from .scalars import CycloField, CycloScalar, numerators, scalar_to_json
 from .sequences import gaussian_binomial
 
 
@@ -118,26 +120,63 @@ def build_slice(ctx: AlgebraCtx, l: int, omega=None) -> ComplexSlice:
     """Assemble the degree-l slice; `omega` twists the bimodule by the
     diagonal automorphism x -> omega x, y -> omega^{N-1} y.
 
-    The rows are assembled from integer-unit monomials, so the twist enters
-    only through lam^k and phi(y) and every other weight stays a Python int.
-    The composite d1 . d0 of those rows is checked to vanish, and a d0 row
-    that no d1 row reads is checked against ad_phi; each nonzero becomes a
-    field scalar only after the checks.
+    The rows are assembled from integer-unit monomials and every weight stays
+    a Python int; a twist enters only through lam^k and phi(y), as powers of a
+    formal t, so each twisted entry is an integer polynomial in t.  The
+    composite d1 . d0 of those rows is checked to vanish (in Z[t] with a
+    twist, so for every twist scalar at once), and each d0 row that no d1 row
+    reads is compared with ad_phi; each nonzero becomes a field scalar (its
+    value at t = omega) only after the checks, and one that vanishes there is
+    dropped.
     """
     if ctx.N < 2:
         raise ValueError("degreewise cohomology needs N >= 2")
     if ctx.localized:
         raise ValueError("slices are built over the unlocalized algebra")
     omega = None if omega is None else ctx.coerce(omega)
-    twist = None
-    if omega is not None and omega != ctx.field.one:
-        twist = Automorphism.diagonal(ctx, omega)
+    N, k = ctx.N, ctx.N - 1
 
     basis0 = basis_of_degree(ctx, l)
     basis1x = basis_of_degree(ctx, l + 1)
-    basis1y = basis_of_degree(ctx, l + ctx.N - 1)
-    basis2 = basis_of_degree(ctx, l + ctx.N)
+    basis1y = basis_of_degree(ctx, l + k)
+    basis2 = basis_of_degree(ctx, l + N)
     zero = ctx.zero()
+    twist = scalar = None
+    if omega is not None and omega != ctx.field.one:
+        # Width of the substitution.  Every word x^a y^s x^b y^r met here has
+        # degree at most D = l + N, so b + sk <= D; moving one y across x^c
+        # adds weight c (y x^c = x^c y + c x^{c+k}), hence the nonnegative
+        # weights of the word sum to at most prod_{q<s} (1 + b + qk) <=
+        # prod_{p=1..D//k} (1 + D - pk) = M.  An entry sums at most N + 2
+        # words (relation_residual of dx), each times +-t^p, and an entry of
+        # d1 . d0 at most R = len(basis1x) + len(basis1y) products of two
+        # entries; so every t-coefficient that is checked or read is below
+        # R ((N + 2) M)^2 < 2**(width - 1) in absolute value, and its value at
+        # t = 2**width determines it (balanced base-2**width digits).
+        entry = (N + 2) * math.prod(range(l + N + 1 - k, 0, -k))
+        width = ((len(basis1x) + len(basis1y)) * entry * entry).bit_length() + 1
+        t, half = [1 << width * p for p in range(N)], 1 << width - 1
+        y_image = Element(ctx, {(0, 1): t[k]})
+        # x -> t x, y -> t^{N-1} y, as _twist_images and GenDerivation read a
+        # twist; `lam` is the scalar omega the slice is read at
+        twist = SimpleNamespace(ctx=ctx, lam=omega, lam_power=t.__getitem__,
+                                y_image=lambda: y_image, is_identity=lambda: False)
+        # the coordinates of omega^0 .. omega^{N-1}, as integers over one den
+        over_q, dim = ctx.field.order == 1, ctx.field.degree
+        powers = [omega ** p for p in range(N)]
+        nums, den = numerators([c for w in powers for c in ((w,) if over_q else w.coeffs)])
+
+        @cache
+        def scalar(v):
+            # the balanced base-2**width digits of v are its t-coefficients
+            coords, p = [0] * dim, 0
+            while v:
+                digit = ((v + half) & (2 * half - 1)) - half
+                if digit:
+                    coords = [a + digit * b for a, b in zip(coords, nums[p * dim :])]
+                v, p = (v - digit) >> width, p + 1
+            coords = [Fraction(a, den) for a in coords]
+            return coords[0] if over_q else CycloScalar(ctx.field, coords)
 
     d0_columns = []
     for mono in basis0:
@@ -160,18 +199,28 @@ def build_slice(ctx: AlgebraCtx, l: int, omega=None) -> ComplexSlice:
         if any(total.values()):
             raise AssertionError("the slice differentials do not compose to zero")
     # a d0 row that no d1 row reads escapes that check; each is compared with
-    # ad_phi applied once to sum_k (k+1) basis0[k]
+    # the ad_phi images of the monomials x^i y^j of basis0 that reach it.  The
+    # terms of ad_phi(x^i y^j) have y-degree at most j in dx (x^i y^j x -
+    # lam x^{i+1} y^j) and j or j + 1 in dy (x^i y^{j+1} - phi(y) x^i y^j),
+    # so the dy row x^{l+N-1} needs ad_phi(x^l) alone
     read = {mid for row in d1 for mid in row}
-    unread = [r for r in range(len(d0)) if r not in read]
-    if unread:
-        image = ad_phi(Element(ctx, {m: k + 1 for k, m in enumerate(basis0)}), twist)
-        expected = [image.dx.terms.get(m, 0) for m in basis1x]
-        expected += [image.dy.terms.get(m, 0) for m in basis1y]
-        if any(sum((k + 1) * c for k, c in d0[r].items()) != expected[r] for r in unread):
+    rows = [(m, True) for m in basis1x] + [(m, False) for m in basis1y]
+    for r, (key, in_dx) in enumerate(rows):
+        if r in read:
+            continue
+        expected = {}
+        for col, mono in enumerate(basis0):
+            if mono[1] >= key[1] if in_dx else key[1] - 1 <= mono[1] <= key[1]:
+                image = ad_phi(Element(ctx, {mono: 1}), twist)
+                c = (image.dx if in_dx else image.dy).terms.get(key)
+                if c:
+                    expected[col] = c
+        if d0[r] != expected:
             raise AssertionError("a d0 row disagrees with ad_phi")
-    scalar = Fraction if ctx.field.order == 1 else ctx.coerce
-    d0 = [{col: scalar(c) for col, c in row.items()} for row in d0]
-    d1 = [{col: scalar(c) for col, c in row.items()} for row in d1]
+    if scalar is None:
+        scalar = Fraction if ctx.field.order == 1 else ctx.coerce
+    d0 = [{col: s for col, c in row.items() if (s := scalar(c))} for row in d0]
+    d1 = [{col: s for col, c in row.items() if (s := scalar(c))} for row in d1]
 
     return ComplexSlice(ctx, l, omega, basis0, basis1x, basis1y, basis2, d0, d1)
 
@@ -240,25 +289,30 @@ class DimsReport:
         }
 
 
-# Budgets of an hh_profile window, refused as precondition violations (exit 2
-# on the command line).  Over N = 2 a degree-l slice has about l monomials per
-# basis and its check and rank take about l^3 steps: the window [-63..64]
-# runs in about a second (Python 3.11, shared 2-vCPU x86 host), and the cost
-# grows as the top degree cubed.
+# Budgets of an hh_profile or veronese_basis window, refused as precondition
+# violations (exit 2 on the command line).  Over N = 2 a degree-l slice has
+# about l monomials per basis and its check and rank take about l^3 steps: the
+# window [-63..64] runs in about a second (Python 3.11, shared 2-vCPU x86
+# host), and the cost grows as the top degree cubed; so does that of the
+# Veronese cross-check, about a second for N = 2, m = 4 on [0..64].
 MAX_HH_DEGREE = 64
 MAX_HH_WIDTH = 128
 
 
-def hh_profile(ctx: AlgebraCtx, lo: int, hi: int, omega=None):
-    """All three cohomology dimension rows over a window, plus the per-degree
-    Euler characteristics (computed two ways).  The window must lie within
-    the budgets MAX_HH_DEGREE (top degree) and MAX_HH_WIDTH (slices)."""
+def _check_window(lo: int, hi: int):
     if hi > MAX_HH_DEGREE:
         raise ValueError(f"top degree {hi} is above the budget of {MAX_HH_DEGREE}")
     if hi - lo + 1 > MAX_HH_WIDTH:
         raise ValueError(
             f"degree window [{lo}..{hi}] is wider than the budget of {MAX_HH_WIDTH} degrees"
         )
+
+
+def hh_profile(ctx: AlgebraCtx, lo: int, hi: int, omega=None):
+    """All three cohomology dimension rows over a window, plus the per-degree
+    Euler characteristics (computed two ways).  The window must lie within
+    the budgets MAX_HH_DEGREE (top degree) and MAX_HH_WIDTH (slices)."""
+    _check_window(lo, hi)
     rows = {0: [], 1: [], 2: []}
     euler = []
     for l in range(lo, hi + 1):
@@ -576,9 +630,11 @@ def taft_obstruction(N: int, n: int, max_degree: int = 6) -> TaftReport:
 def veronese_basis(ctx: AlgebraCtx, m: int, lo: int, hi: int):
     """Monomials of degree divisible by m in the window, degree by degree,
     cross-checked against the fixed space of the diagonal automorphism of
-    order m computed by eigenvalue filtering."""
+    order m computed by eigenvalue filtering.  The window must lie within the
+    budgets MAX_HH_DEGREE and MAX_HH_WIDTH of hh_profile."""
     if m < 1:
         raise ValueError("the Veronese order must be >= 1")
+    _check_window(lo, hi)
     fld = CycloField(m)
     ctx_m = AlgebraCtx(ctx.N, False, fld)
     phi = Automorphism.diagonal(ctx_m, fld.zeta)

@@ -24,6 +24,7 @@ from .scalars import (
     CycloScalar,
     QPoly,
     SchemaError,
+    check_output_digits,
     repeated_squaring,
     scalar_from_json,
     scalar_to_json,
@@ -428,7 +429,7 @@ def laguerre_identity_check(ctx: AlgebraCtx, i: int, j: int) -> bool:
 def render_scalar(c) -> str:
     """Scalar rendering for the pretty printer."""
     if isinstance(c, (int, Fraction)):
-        return str(c)
+        return str(check_output_digits(c))
     if isinstance(c, CycloScalar):
         return "(" + QPoly(c.coeffs).format(var="z") + ")"
     return repr(c)

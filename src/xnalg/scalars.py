@@ -239,10 +239,10 @@ class QPoly:
             if not c:
                 continue
             if k == 0:
-                body = str(abs(c))
+                body = str(check_output_digits(abs(c)))
             else:
                 mono = var if k == 1 else f"{var}^{k}"
-                body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+                body = mono if abs(c) == 1 else f"{check_output_digits(abs(c))}*{mono}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -516,7 +516,26 @@ class CycloScalar:
         return f"({QPoly(self.coeffs).format(var='z')} in {self.field!r})"
 
 
+# Output budget: a rational is written out, as text or JSON, only while its
+# numerator and denominator have at most MAX_OUTPUT_DIGITS decimal digits (the
+# interpreter's default limit on int-to-text conversion, which takes time
+# quadratic in the length); past it the request is refused (exit 2).
+MAX_OUTPUT_DIGITS = 4300
+
+
+def check_output_digits(value):
+    """`value` (an int or Fraction), refused past the output budget."""
+    for n in (abs(value.numerator), value.denominator):
+        # a number below 2^(3d) = 8^d < 10^d has at most d digits
+        if n.bit_length() > 3 * MAX_OUTPUT_DIGITS and n >= 10**MAX_OUTPUT_DIGITS:
+            raise ValueError(
+                f"a coefficient has more than {MAX_OUTPUT_DIGITS} digits, above the output budget"
+            )
+    return value
+
+
 def rational_to_json(value: Fraction) -> str:
+    check_output_digits(value)
     return f"{value.numerator}/{value.denominator}"
 
 

@@ -383,6 +383,56 @@ def test_cli_bracket_and_nil_refuse_late_slots_up_front():
     assert result.text.endswith("L-basis 0 (expected 0, match=True)")
 
 
+def test_cli_veronese_window_is_refused_before_any_work(monkeypatch):
+    # a veronese window shares the budgets of an hh window and is checked
+    # before any degree is built; every window up to the top degree runs
+    refusals = (
+        (["veronese", "--N", "4", "--m", "3", "--from", "0", "--to", "100000"],
+         "top degree 100000 is above the budget of 64"),
+        (["veronese", "--N", "2", "--m", "4", "--from", "0", "--to", "65"],
+         "top degree 65 is above the budget of 64"),
+        (["veronese", "--N", "4", "--m", "3", "--from", "-100000", "--to", "3"],
+         "degree window [-100000..3] is wider than the budget of 128 degrees"),
+    )
+    built = []
+    real = cohomology.basis_of_degree
+    monkeypatch.setattr(cohomology, "basis_of_degree", lambda *a: built.append(a) or real(*a))
+    for argv, message in refusals:
+        for extra in ([], ["--json"]):
+            result = run_command(argv + extra)
+            assert result.status == 2, argv
+            assert result.text == f"precondition violated: {message}"
+    assert built == []
+    for N in range(2, 7):
+        for m in range(1, 5):
+            argv = ["veronese", "--N", str(N), "--m", str(m), "--from", "0", "--to", "16"]
+            assert run_command(argv).status == 0, argv
+    result = run_command(["veronese", "--N", "6", "--m", "4", "--from", "-63", "--to", "64"])
+    assert result.status == 0
+    assert result.text.endswith("degree 64: " + ", ".join(
+        render_element(AlgebraCtx(6).monomial(64 - 5 * j, j)) for j in range(13)))
+
+
+def test_cli_output_digit_budget():
+    # a coefficient is written out, as text or JSON, only while its numerator
+    # and denominator have at most 4300 digits; past that the request exits 2
+    # with the package's message, not the interpreter's
+    message = ("precondition violated: "
+               "a coefficient has more than 4300 digits, above the output budget")
+    for expr, field in (("y^3000*x^3000", []), ("10^4300*x", []), ("x - (1/10)^4300*y", []),
+                        ("10^4300*x", ["--field-order", "3"])):
+        for extra in ([], ["--json"]):
+            result = run_command(["norm", expr, "--N", "3", *field, *extra])
+            assert (result.status, result.text) == (2, message), (expr, field, extra)
+    digits = "1" + "0" * 4299
+    result = run_command(["norm", "10^4299*x - (1/10)^4299*y", "--N", "3"])
+    assert (result.status, result.text) == (0, f"-1/{digits}*y + {digits}*x")
+    result = run_command(["norm", "10^4299*x - (1/10)^4299*y", "--N", "3", "--json"])
+    assert result.status == 0
+    assert [term["coeff"] for term in result.payload["terms"]] == [f"-1/{digits}", f"{digits}/1"]
+    assert json.loads(result.text) == result.payload
+
+
 def test_cli_schema_error(tmp_path):
     bad = {
         "twist": None,

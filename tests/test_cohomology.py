@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -189,6 +190,106 @@ def test_identity_twist_slices_take_the_integer_path(monkeypatch):
             build_slice(ctx, l, omega)
             assert seen and all(twist is not None and twist.lam == omega and kinds == {int}
                                 for twist, kinds in seen), (field, l)
+
+
+def test_twisted_slices_over_a_formal_twist_match_the_product_chain_reference():
+    # a twisted slice is assembled and checked over a formal twist t and read
+    # at omega once, after the checks; its rows must equal the rows read off
+    # the whole-element product oracles, entry by entry and in field types,
+    # on both branches (omega^{N-1} = 1 and not): over Q(zeta_5) and
+    # Q(zeta_6), zeta_n itself and, when gcd(n, N - 1) > 1, a power of it
+    # with omega^{N-1} = 1; plus omega = -2/3 and omega = 1 + zeta_3, which
+    # are not roots of unity
+    q, f3 = CycloField(1), CycloField(3)
+    cases = []
+    for N in range(2, 7):
+        for n in (5, 6):
+            field = CycloField(n)
+            g = math.gcd(n, N - 1)
+            cases += [(N, field, w) for w in [field.zeta] + [field.zeta ** (n // g)] * (g > 1)]
+        cases += [(N, q, Fraction(-2, 3)), (N, f3, f3.one + f3.zeta)]
+    branches = set()
+    checked = 0
+    for N, field, omega in cases:
+        ctx = AlgebraCtx(N, False, field)
+        kind = Fraction if field.order == 1 else CycloScalar
+        twist = Automorphism.diagonal(ctx, omega)
+        branches.add(omega ** (N - 1) == field.one)
+        for l in (-N, -N + 1, -1, 0, 1, N + 2, 3 * N + 1):
+            sl = build_slice(ctx, l, omega)
+            ref_d0, ref_d1 = _reference_slice(ctx, l, twist)
+            assert (sl.d0, sl.d1) == (ref_d0, ref_d1), (N, field, omega, l)
+            for row in (*sl.d0, *sl.d1):
+                assert all(type(c) is kind for c in row.values()), (N, field, omega, l)
+                checked += len(row)
+    assert branches == {True, False}
+    assert checked > 3000
+    # the largest slice the hh budgets allow, where the weights are largest
+    f5 = CycloField(5)
+    ctx = AlgebraCtx(2, False, f5)
+    sl = build_slice(ctx, 64, f5.zeta)
+    assert (sl.d0, sl.d1) == _reference_slice(ctx, 64, Automorphism.diagonal(ctx, f5.zeta))
+    assert sl.dims() == (0, 0, 0)
+
+
+def test_a_corrupted_t_coefficient_fails_the_check_in_z_t(monkeypatch):
+    # over Q(zeta_3), 1 + t + t^2 vanishes at t = zeta_3; adding it to one d0
+    # entry leaves every row at omega unchanged, yet the check of d1 . d0 = 0
+    # in Z[t] fires (on these slices every nonzero d0 row is read by some d1
+    # row in Z[t])
+    from xnalg import cohomology
+
+    f3 = CycloField(3)
+    ctx = AlgebraCtx(3, False, f3)
+    real_ad_phi, real_matrix = cohomology.ad_phi, cohomology._matrix
+    twists = []
+
+    def spy(u, twist=None):
+        twists.append(twist)
+        return real_ad_phi(u, twist)
+
+    def corrupted(columns, bases):
+        rows = real_matrix(columns, bases)
+        if len(bases) == 2:  # d0, rows over basis1x then basis1y
+            t = twists[-1].lam_power(1)
+            row = next(row for row in rows[row_index:] if row)
+            row[next(iter(row))] += 1 + t + t * t
+        return rows
+
+    monkeypatch.setattr(cohomology, "ad_phi", spy)
+    assert 1 + f3.zeta + f3.zeta ** 2 == f3.zero
+    for l in (0, 2, 6):
+        build_slice(ctx, l, f3.zeta)
+        for row_index in (0, len(basis_of_degree(ctx, l + 1))):  # a dx row, a dy row
+            with monkeypatch.context() as patch:
+                patch.setattr(cohomology, "_matrix", corrupted)
+                with pytest.raises(AssertionError,
+                                   match="the slice differentials do not compose to zero"):
+                    build_slice(ctx, l, f3.zeta)
+    assert all(type(twist.lam_power(1)) is int and twist.lam == f3.zeta for twist in twists)
+
+
+def test_unread_rows_are_compared_exactly(monkeypatch):
+    # a d0 row that no d1 row reads is compared entry by entry with ad_phi:
+    # a corruption that keeps the weighted sum sum_k (k + 1) d0[r][k] of the
+    # row (the detector this comparison replaced) must still raise
+    from xnalg import cohomology
+
+    real = cohomology._matrix
+    ctx = AlgebraCtx(3)
+
+    def corrupted(columns, bases):
+        rows = real(columns, bases)
+        if len(bases) == 2:  # d0; its dy row x^4 has one entry, at x^2
+            row = rows[len(bases[0]) + bases[1].index((4, 0))]
+            (k0, c), = row.items()
+            k1 = 1 - k0  # the column of y, the other monomial of degree 2
+            row[k0], row[k1] = c - (k1 + 1), k0 + 1
+        return rows
+
+    monkeypatch.setattr(cohomology, "_matrix", corrupted)
+    with pytest.raises(AssertionError, match="a d0 row disagrees with ad_phi"):
+        build_slice(ctx, 2)
 
 
 def test_operations_over_q_return_fraction_coefficients():

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -29,7 +28,7 @@ from .cohomology import (
 )
 from .maps import Automorphism, GenDerivation
 from .ncalg import AlgebraCtx, Element, laguerre_identity_check, phi_element, render_element
-from .scalars import CycloField, SchemaError, rational_to_json, scalar_to_json
+from .scalars import MAX_OUTPUT_DIGITS, CycloField, SchemaError, rational_to_json, scalar_to_json
 from .sequences import bernoulli, c_poly, gregory
 
 
@@ -74,7 +73,14 @@ def _tokenize(src):
                     raise ParseError(k, "expected a denominator")
                 while k < len(src) and src[k].isdigit():
                     k += 1
-            tokens.append(("num", src[start:k], start))
+            text = src[start:k]
+            if max(map(len, text.split("/"))) > MAX_OUTPUT_DIGITS:
+                # refused before int() meets the interpreter's own digit limit
+                raise ValueError(
+                    f"position {start}: a number has more than {MAX_OUTPUT_DIGITS} digits, "
+                    "above the digit budget"
+                )
+            tokens.append(("num", text, start))
             continue
         if ch in "xy":
             tokens.append(("gen", ch, k))
@@ -220,11 +226,23 @@ def eval_expr(ast, ctx: AlgebraCtx) -> Element:
 # --- command dispatch --------------------------------------------------------
 
 
-@dataclass
 class CommandResult:
-    status: int
-    payload: object
-    text: str
+    """Exit status, JSON payload and printed text of one command."""
+
+    __slots__ = ("status", "payload", "text")
+
+    def __init__(self, status: int, payload, text: str):
+        self.status = status
+        self.payload = payload
+        self.text = text
+
+    def __eq__(self, other):
+        if not isinstance(other, CommandResult):
+            return NotImplemented
+        return (self.status, self.payload, self.text) == (other.status, other.payload, other.text)
+
+    def __repr__(self):
+        return f"CommandResult(status={self.status!r}, payload={self.payload!r}, text={self.text!r})"
 
 
 class _UsageError(Exception):
@@ -270,7 +288,7 @@ def _read_json_input(ns):
 def _cmd_norm(ns):
     ctx = _ctx_from(ns)
     elt = eval_expr(parse_expr(ns.expr, ctx), ctx)
-    return elt.to_json(), render_element(elt)
+    return elt.to_json(), partial(render_element, elt)
 
 
 def _cmd_cseq(ns):
@@ -280,24 +298,24 @@ def _cmd_cseq(ns):
         "poly": poly.format(),
         "coeffs": [rational_to_json(c) for c in poly.coeffs],
     }
-    return payload, poly.format()
+    return payload, poly.format
 
 
 def _cmd_number(sequence, ns):
     value = sequence(ns.n)
-    return {"n": ns.n, "value": scalar_to_json(value)}, str(value)
+    return {"n": ns.n, "value": scalar_to_json(value)}, partial(str, value)
 
 
 def _cmd_phi(ns):
     ctx = _ctx_from(ns)
     elt = phi_element(ctx, ns.j)
-    return elt.to_json(), render_element(elt)
+    return elt.to_json(), partial(render_element, elt)
 
 
 def _cmd_laguerre_check(ns):
     ctx = _ctx_from(ns)
     ok = laguerre_identity_check(ctx, ns.i, ns.j)
-    return {"N": ns.N, "i": ns.i, "j": ns.j, "match": ok}, "match" if ok else "MISMATCH"
+    return {"N": ns.N, "i": ns.i, "j": ns.j, "match": ok}, lambda: "match" if ok else "MISMATCH"
 
 
 def _cmd_hh(ns):
@@ -307,24 +325,22 @@ def _cmd_hh(ns):
     if ns.p is not None:
         reports = reports[ns.p : ns.p + 1]
     payload = [r.to_json() for r in reports]
-    text = "\n".join(
+    return (payload if ns.p is None else payload[0]), lambda: "\n".join(
         f"HH^{r.p} degrees [{r.lo}..{r.hi}]: {r.computed} "
         f"(expected {r.expected}, match={r.match})"
         for r in reports
     )
-    return (payload if ns.p is None else payload[0]), text
 
 
 def _cmd_bracket(ns):
     ctx = _ctx_from(ns)
     result = bracket_table(ctx, ns.l, ns.m)
     coeff = result.computed_coeff
-    text = (
+    return result.to_json(), lambda: (
         f"[slot {ns.l}, slot {ns.m}] ~ {coeff} * slot {result.target_degree}; "
         f"expected {result.expected_coeff}, match={result.match}; "
         f"L-basis {result.l_computed} (expected {result.l_expected}, match={result.l_match})"
     )
-    return result.to_json(), text
 
 
 def _cmd_inner(ns):
@@ -332,26 +348,25 @@ def _cmd_inner(ns):
     d = GenDerivation.from_json(data)
     witness = is_inner(d, ns.i_min)
     if witness is None:
-        return {"inner": False, "witness": None}, "not inner"
-    return {"inner": True, "witness": witness.to_json()}, render_element(witness)
+        return {"inner": False, "witness": None}, lambda: "not inner"
+    return {"inner": True, "witness": witness.to_json()}, partial(render_element, witness)
 
 
 def _cmd_residue(ns):
     data = _read_json_input(ns)
     d = GenDerivation.from_json(data)
     value = residue_inner_test(d)
-    return {"residue": scalar_to_json(value)}, str(value)
+    return {"residue": scalar_to_json(value)}, partial(str, value)
 
 
 def _cmd_taft(ns):
     report = taft_obstruction(ns.N, ns.n, ns.max_degree)
-    text = (
+    return report.to_json(), lambda: (
         f"q-binomials vanish: {report.qbinom_vanishing}; power collapse on "
         f"{report.checked_monomials} monomials: {report.collapse_ok}; "
         f"witness d^{ns.n}(y) = {render_element(report.witness_value)} "
         f"(nonzero: {report.witness_nonzero})"
     )
-    return report.to_json(), text
 
 
 def _cmd_aut(ns):
@@ -362,22 +377,22 @@ def _cmd_aut(ns):
         if a is None or b is None:
             raise _UsageError("compose needs --a and --b")
         out = a.compose(b)
-        return out.to_json(), repr(out)
+        return out.to_json(), partial(repr, out)
     if ns.action == "inverse":
         if a is None:
             raise _UsageError("inverse needs --a")
         out = a.inverse()
-        return out.to_json(), repr(out)
+        return out.to_json(), partial(repr, out)
     if ns.action == "order":
         if a is None:
             raise _UsageError("order needs --a")
         k = a.order(ns.bound)
-        return {"order": k}, str(k)
+        return {"order": k}, partial(str, k)
     if a is None or not ns.expr:
         raise _UsageError("apply needs --a and --expr")
     elt = eval_expr(parse_expr(ns.expr, ctx), ctx)
     out = a.apply(elt)
-    return out.to_json(), render_element(out)
+    return out.to_json(), partial(render_element, out)
 
 
 def _cmd_veronese(ns):
@@ -393,31 +408,31 @@ def _cmd_veronese(ns):
     }
     if ns.m >= 1 and (ns.N - 1) % ns.m == 0:
         payload["relation"] = veronese_relation_report(ns.N, ns.m).to_json()
-    lines = []
-    for l, monos in rows:
-        text = ", ".join(render_element(ctx.monomial(i, j)) for i, j in monos)
-        lines.append(f"degree {l}: {text if monos else '-'}")
-    return payload, "\n".join(lines)
+    return payload, lambda: "\n".join(
+        f"degree {l}: {', '.join(render_element(ctx.monomial(i, j)) for i, j in monos) or '-'}"
+        for l, monos in rows
+    )
 
 
 def _cmd_nil(ns):
     ctx = _ctx_from(ns)
     report = nil_chain_check(ctx, ns.r, ns.s, ns.lo, ns.hi)
-    text = (
+    return report.to_json(), lambda: (
         f"containment [Nil_{ns.r}, Nil_{ns.s}] in Nil_{ns.r + ns.s} mod inner: "
         f"{report.containment_ok}; lower central series sizes on window: "
         f"{report.lcs_lengths} (computed index {report.computed_index}, "
         f"printed index {report.printed_index})"
     )
-    return report.to_json(), text
 
 
 # --- subcommand table ------------------------------------------------------
 #
 # One entry per subcommand: name, help line, handler and its arguments in
-# order.  An argument is (flag, add_argument keywords); `_int` makes a
-# required integer option.  Every subcommand also takes --json.  A field or
-# localization option is offered only where it can change the answer.
+# order.  A handler returns its JSON payload and a function that renders its
+# human text, so a --json request never renders the text.  An argument is
+# (flag, add_argument keywords); `_int` makes a required integer option.
+# Every subcommand also takes --json.  A field or localization option is
+# offered only where it can change the answer.
 
 
 def _int(flag, **kw):
@@ -478,7 +493,9 @@ def run_command(argv) -> CommandResult:
         ns = _build_parser().parse_args(argv)
         if hasattr(ns, "lo") and ns.lo > ns.hi:
             raise ValueError(f"empty degree window: --from {ns.lo} is above --to {ns.hi}")
-        payload, text = ns.handler(ns)
+        payload, render = ns.handler(ns)
+        # rendered inside the try, so a rendering error keeps its exit code
+        text = json.dumps(payload, indent=2, sort_keys=True) if ns.json else render()
     except _HelpRequested as exc:
         text = str(exc).rstrip("\n")
         return CommandResult(0, {"help": text}, text)
@@ -490,8 +507,6 @@ def run_command(argv) -> CommandResult:
         return CommandResult(2, {"error": str(exc)}, f"precondition violated: {exc}")
     except (AssertionError, TypeError, KeyError, IndexError) as exc:
         return CommandResult(3, {"error": str(exc)}, f"internal invariant breach: {exc}")
-    if ns.json:
-        return CommandResult(0, payload, json.dumps(payload, indent=2, sort_keys=True))
     return CommandResult(0, payload, text)
 
 

@@ -16,7 +16,6 @@ ranks are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
 from types import SimpleNamespace
@@ -88,23 +87,43 @@ def _inner_decomposition(target, reps, candidates, twist=None):
     return coeffs, witness
 
 
-@dataclass
-class ComplexSlice:
+class _Record:
+    """A plain record: its fields are its ``__slots__``, set positionally or
+    by keyword; records of one class compare and print field by field."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        rest = names[len(args):]
+        if len(args) > len(names) or set(kwargs) != set(rest):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name, value in zip(names, args):
+            setattr(self, name, value)
+        for name in rest:
+            setattr(self, name, kwargs[name])
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({body})"
+
+
+class ComplexSlice(_Record):
     """The degree-l slice of the three-term complex, with exact matrices of
     both differentials as sparse rows {column: scalar} from `_matrix` (rows
     indexed by the codomain bases, columns by the domain bases).  d0 sends a
     to ad_phi(a) = (a x - phi(x) a, a y - phi(y) a), the negative of the
     other usual sign; image, kernel and ranks are the same under either sign."""
 
-    ctx: AlgebraCtx
-    l: int
-    omega: object
-    basis0: list
-    basis1x: list
-    basis1y: list
-    basis2: list
-    d0: list
-    d1: list
+    __slots__ = ("ctx", "l", "omega", "basis0", "basis1x", "basis1y", "basis2", "d0", "d1")
 
     def dims(self):
         """(dim HH^0, dim HH^1, dim HH^2) on this slice."""
@@ -257,21 +276,13 @@ def expected_hh_dim(N: int, p: int, l: int, twist_branch) -> int:
     raise ValueError("p must be 0, 1 or 2")
 
 
-@dataclass
-class DimsReport:
+class DimsReport(_Record):
     """Computed versus closed-form dimensions over a degree window."""
 
-    N: int
-    p: int
-    lo: int
-    hi: int
-    twist_order: int | None
-    computed: list
-    expected: list
-    match: bool
-    euler_computed: list
-    euler_expected: list
-    euler_match: bool
+    __slots__ = (
+        "N", "p", "lo", "hi", "twist_order", "computed", "expected", "match",
+        "euler_computed", "euler_expected", "euler_match",
+    )
 
     def to_json(self):
         return {
@@ -443,23 +454,14 @@ def expected_l_bracket(N: int, l: int, m: int) -> Fraction:
     return Fraction(l * (v + 1) - m * (j + 1), N - 1)
 
 
-@dataclass
-class BracketResult:
+class BracketResult(_Record):
     """Bracket of two slot representatives, reduced against the slot basis
     with an explicit inner witness, both in the raw and the L-rescaled basis."""
 
-    N: int
-    l: int
-    m: int
-    target_degree: int
-    computed_coeff: object
-    computed_center: object
-    witness: Element | None
-    expected_coeff: Fraction
-    match: bool
-    l_computed: object
-    l_expected: Fraction
-    l_match: bool
+    __slots__ = (
+        "N", "l", "m", "target_degree", "computed_coeff", "computed_center", "witness",
+        "expected_coeff", "match", "l_computed", "l_expected", "l_match",
+    )
 
     @property
     def inner(self) -> bool:
@@ -544,20 +546,15 @@ def residue_inner_test(d: GenDerivation):
     return (w * loc.ctx.x(-1)).coefficient(-1, 0)
 
 
-@dataclass
-class TaftReport:
+class TaftReport(_Record):
     """Mechanical content of the obstruction to inner-faithful Taft actions:
     the n-th power of the candidate twisted derivation collapses to a
     commutator with u^n, which cannot vanish."""
 
-    N: int
-    n: int
-    qbinom_vanishing: bool
-    collapse_ok: bool
-    checked_monomials: int
-    witness_monomial: tuple
-    witness_nonzero: bool
-    witness_value: Element
+    __slots__ = (
+        "N", "n", "qbinom_vanishing", "collapse_ok", "checked_monomials", "witness_monomial",
+        "witness_nonzero", "witness_value",
+    )
 
     @property
     def ok(self) -> bool:
@@ -656,17 +653,13 @@ def veronese_basis(ctx: AlgebraCtx, m: int, lo: int, hi: int):
     return out
 
 
-@dataclass
-class VeroneseRelationReport:
+class VeroneseRelationReport(_Record):
     """Defining relation of the invariant subalgebra generated by x^m and y
     when m divides N-1: records the computed power against the claimed one."""
 
-    N: int
-    m: int
-    relation_coeff: int
-    relation_exponent: int
-    computed_power: int
-    claimed_power: int
+    __slots__ = (
+        "N", "m", "relation_coeff", "relation_exponent", "computed_power", "claimed_power",
+    )
 
     @property
     def discrepancy(self) -> bool:
@@ -707,25 +700,17 @@ def veronese_relation_report(N: int, m: int) -> VeroneseRelationReport:
     )
 
 
-@dataclass
-class NilReport:
+class NilReport(_Record):
     """Windowed check of the nilpotent-ideal structure on the degree-one
     cohomology: bracket containment for one (r, s) pair, plus the lower
     central series length actually observed on the window, reported next to
     the two printed claims without asserting either."""
 
-    N: int
-    r: int
-    s: int
-    lo: int
-    hi: int
-    containment_ok: bool
-    violations: list
-    lcs_lengths: list
-    computed_index: int
-    printed_index: int
-    printed_vanishing_threshold: int
-    observed_vanishing_threshold: int
+    __slots__ = (
+        "N", "r", "s", "lo", "hi", "containment_ok", "violations", "lcs_lengths",
+        "computed_index", "printed_index", "printed_vanishing_threshold",
+        "observed_vanishing_threshold",
+    )
 
     def __bool__(self):
         return self.containment_ok

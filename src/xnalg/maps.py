@@ -143,13 +143,20 @@ class Automorphism:
         return Automorphism(self.ctx, mu, coeffs)
 
     def order(self, bound: int):
-        """Least k <= bound with the k-th power equal to the identity, else None."""
+        """Least k <= bound with the k-th power equal to the identity, else None.
+
+        The k-th power scales x by lam^k, so a finite order is a multiple of
+        the order m of lam, which divides lcm(2, n) in Q(zeta_n): its roots of
+        unity are +-zeta^i.  The m-th power is a shear y -> y + f_m(x), whose
+        powers add in characteristic 0, so the order is m if f_m = 0 and
+        infinite otherwise: at most lcm(2, n) compositions, whatever the bound."""
         if bound < 1:
             raise ValueError("the order search bound must be >= 1")
+        one = self.ctx.field.one
         acc = self
-        for k in range(1, bound + 1):
-            if acc.is_identity():
-                return k
+        for k in range(1, min(bound, math.lcm(2, self.ctx.field.order)) + 1):
+            if acc.lam == one:
+                return k if acc.is_identity() else None
             acc = acc.compose(self)
         return None
 

@@ -25,6 +25,7 @@ from .scalars import (
     QPoly,
     SchemaError,
     check_output_digits,
+    numerators,
     repeated_squaring,
     scalar_from_json,
     scalar_to_json,
@@ -35,6 +36,8 @@ from .sequences import MAX_C_INDEX, c_eval, laguerre_poly, pochhammer_k
 # the scalar types some coefficient ring accepts; anything else leaves the
 # product to the other operand
 _SCALAR_TYPES = (int, Fraction, CycloScalar, QPoly)
+# the coefficient types a product may run on integer numerators
+_RATIONAL_TYPES = {int, Fraction}
 
 
 class CtxMismatchError(ValueError):
@@ -307,14 +310,38 @@ class Element:
         return cls(ctx, terms)
 
 
+def _on_numerators(ta, tb) -> bool:
+    """Whether a product of these coefficient tables runs on integer
+    numerators: the first coefficient of one is a Fraction and every
+    coefficient is an int or a Fraction, so int-only operands are told apart
+    without a scan."""
+    if type(next(iter(ta.values()))) is not Fraction and type(next(iter(tb.values()))) is not Fraction:
+        return False
+    return all(type(c) in _RATIONAL_TYPES for c in (*ta.values(), *tb.values()))
+
+
 def normalize_product(a: Element, b: Element) -> Element:
-    """The normal-ordered product, by bilinear extension of the word kernel."""
+    """The normal-ordered product, by bilinear extension of the word kernel.
+
+    Two rational operands of several terms (`_on_numerators`) add their words
+    on integer numerators over one denominator per operand, and one Fraction
+    is built per output coefficient.  Any other operands (int-only,
+    one-term, or over another ring) run the same loop on their own
+    coefficients."""
     a._check_ctx(b)
     k = a.ctx.N - 1
+    ta, tb = a.terms, b.terms
+    den = None
+    if len(ta) > 1 and len(tb) > 1 and _on_numerators(ta, tb):
+        na, da = numerators(ta.values())
+        nb, db = numerators(tb.values())
+        ta, tb, den = dict(zip(ta, na)), dict(zip(tb, nb)), da * db
     out: dict = {}
-    for (i1, j1), c1 in a.terms.items():
-        for (i2, j2), c2 in b.terms.items():
+    for (i1, j1), c1 in ta.items():
+        for (i2, j2), c2 in tb.items():
             add_word(out, c1 * c2, i1, j1, i2, j2, k)
+    if den is not None:
+        out = {key: Fraction(v, den) for key, v in out.items() if v}
     return Element(a.ctx, out)
 
 
@@ -324,10 +351,23 @@ def commutator(a: Element, b: Element) -> Element:
 
 
 def power(a: Element, k: int) -> Element:
-    """Repeated normalized product; a^0 = 1."""
+    """a^k by k - 1 multiplications on the left by a; a^0 = 1.
+
+    A left factor of y-degree s makes at most s + 1 words per pair of terms,
+    so each step adds few words to the accumulated power; squaring instead
+    multiplies two large operands of high y-degree.  Repeated multiplication
+    beats squaring for sparse polynomials (Fateman, Stud. Appl. Math. 53,
+    1974), and the commutation rule widens the gap.  Zero and a base c x^i
+    or c y^j have powers of at most one term, so they square."""
     if not isinstance(k, int) or k < 0:
         raise ValueError("element powers take a non-negative integer")
-    return repeated_squaring(a, k, a.ctx.one())
+    keys = list(a.terms)
+    if not keys or (len(keys) == 1 and 0 in keys[0]):
+        return repeated_squaring(a, k, a.ctx.one())
+    out = a if k else a.ctx.one()
+    for _ in range(k - 1):
+        out = normalize_product(a, out)
+    return out
 
 
 def basis_of_degree(ctx: AlgebraCtx, l: int, i_min=None):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from xnalg import cohomology, sequences
+from xnalg import cli, cohomology, sequences
 from xnalg.cli import CommandResult, ParseError, _build_parser, eval_expr, main, parse_expr, run_command
 from xnalg.maps import Automorphism, ad_phi, partial_l
 from xnalg.ncalg import AlgebraCtx, Element, render_element
@@ -823,3 +823,110 @@ def test_cli_inner_json_refusals(tmp_path, edit, status, message):
     prefix = "parse error" if status == 1 else "precondition violated"
     assert result.text == f"{prefix}: {message}"
 
+
+
+def test_cli_lazy_text_equals_the_eager_text(tmp_path):
+    # every handler renders its text only when it is printed; the text is
+    # the one built from the kernel results at once
+    ctx2, ctx3, ctx4 = AlgebraCtx(2), AlgebraCtx(3), AlgebraCtx(4)
+    inner = tmp_path / "inner.json"
+    inner.write_text(json.dumps(ad_phi(ctx3.x(2)).to_json()), encoding="utf-8")
+    outer = tmp_path / "outer.json"
+    outer.write_text(json.dumps(partial_l(ctx3, 0).to_json()), encoding="utf-8")
+    a = {"lambda": "2/1", "f": ["1/1", "-1/2"]}
+    b = {"lambda": "-1/1", "f": ["0/1", "3/1"]}
+    aut_a, aut_b = Automorphism.from_json(a, ctx2), Automorphism.from_json(b, ctx2)
+    aut_args = ["--N", "2", "--a", json.dumps(a)]
+    expr = "(1/2*x + y)^3 - x*y"
+    hh = cohomology.hh_reports(ctx3, 0, 4, None)
+    br = cohomology.bracket_table(ctx3, 0, 5)
+    taft = cohomology.taft_obstruction(3, 2, 4)
+    nil = cohomology.nil_chain_check(ctx4, 1, 1, -3, 6)
+    cases = [
+        (["norm", expr, "--N", "3"], render_element(eval_expr(parse_expr(expr, ctx3), ctx3))),
+        (["cseq", "--j", "5"], sequences.c_poly(5).format()),
+        (["bern", "--n", "12"], str(sequences.bernoulli(12))),
+        (["greg", "--n", "7"], str(sequences.gregory(7))),
+        (["phi", "--N", "3", "--j", "4"], render_element(cli.phi_element(ctx3, 4))),
+        (["laguerre-check", "--N", "3", "--i", "2", "--j", "3"], "match"),
+        (["hh", "--N", "3", "--from", "0", "--to", "4"], "\n".join(
+            f"HH^{r.p} degrees [{r.lo}..{r.hi}]: {r.computed} (expected {r.expected}, match={r.match})"
+            for r in hh)),
+        (["bracket", "--N", "3", "--l", "0", "--m", "5"],
+         f"[slot 0, slot 5] ~ {br.computed_coeff} * slot {br.target_degree}; "
+         f"expected {br.expected_coeff}, match={br.match}; "
+         f"L-basis {br.l_computed} (expected {br.l_expected}, match={br.l_match})"),
+        (["inner", "--file", str(inner)], render_element(ctx3.x(2))),
+        (["inner", "--file", str(outer)], "not inner"),
+        (["residue", "--file", str(outer)], "1"),
+        (["taft", "--N", "3", "--n", "2", "--max-degree", "4"],
+         f"q-binomials vanish: {taft.qbinom_vanishing}; power collapse on "
+         f"{taft.checked_monomials} monomials: {taft.collapse_ok}; "
+         f"witness d^2(y) = {render_element(taft.witness_value)} (nonzero: {taft.witness_nonzero})"),
+        (["aut", "compose", *aut_args, "--b", json.dumps(b)], repr(aut_a.compose(aut_b))),
+        (["aut", "inverse", *aut_args], repr(aut_a.inverse())),
+        (["aut", "order", *aut_args], "None"),
+        (["aut", "apply", *aut_args, "--expr", "x*y + y"],
+         render_element(aut_a.apply(ctx2.monomial(1, 1) + ctx2.y()))),
+        (["veronese", "--N", "4", "--m", "3", "--from", "2", "--to", "4"],
+         "degree 2: -\ndegree 3: x^3, y\ndegree 4: -"),
+        (["nil", "--N", "4", "--r", "1", "--s", "1", "--from", "-3", "--to", "6"],
+         f"containment [Nil_1, Nil_1] in Nil_2 mod inner: {nil.containment_ok}; "
+         f"lower central series sizes on window: {nil.lcs_lengths} "
+         f"(computed index {nil.computed_index}, printed index {nil.printed_index})"),
+    ]
+    assert {argv[0] for argv, _ in cases} == {name for name, *_ in cli._COMMANDS}
+    for argv, eager in cases:
+        assert run_command(argv) == CommandResult(0, run_command([*argv, "--json"]).payload, eager), argv
+
+
+def test_cli_json_requests_never_render_text(monkeypatch):
+    # a --json request skips the human text; a text request that fails while
+    # rendering keeps the exit code of its error
+    def refuse(*args):
+        raise ValueError("rendered")
+
+    argvs = [
+        ["norm", "(x + 1/2*y)^4", "--N", "3"],
+        ["phi", "--N", "3", "--j", "5"],
+        ["aut", "apply", "--N", "2", "--a", json.dumps({"lambda": "2/1", "f": []}), "--expr", "x*y"],
+        ["taft", "--N", "3", "--n", "2", "--max-degree", "3"],
+        ["veronese", "--N", "4", "--m", "3", "--from", "0", "--to", "3"],
+    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "render_element", refuse)
+        for argv in argvs:
+            result = run_command([*argv, "--json"])
+            assert result.status == 0 and json.loads(result.text) == result.payload, argv
+            result = run_command(argv)
+            assert (result.status, result.text) == (2, "precondition violated: rendered"), argv
+            assert result.payload == {"error": "rendered"}
+
+
+def test_cli_over_long_literal_exits_2_with_the_package_message():
+    # a literal past 4300 digits is refused before int() meets the
+    # interpreter's own limit, in both output modes
+    ones = "1" * 4301
+    for expr, pos in ((f"{ones}*x", 0), (f"x^{ones}", 2), (f"y - 1/{ones}*x", 4), (f"(x + {ones}/7)", 5)):
+        message = f"position {pos}: a number has more than 4300 digits, above the digit budget"
+        for extra in ([], ["--json"]):
+            result = run_command(["norm", expr, "--N", "3", *extra])
+            assert (result.status, result.text) == (2, f"precondition violated: {message}"), expr
+            assert result.payload == {"error": message}
+    result = run_command(["aut", "apply", "--N", "3", "--a", '{"lambda": "1/1"}', "--expr", f"{ones}*y"])
+    assert result.status == 2
+    digits = "1" * 4300
+    assert run_command(["norm", f"{digits}*x", "--N", "3"]).text == f"{digits}*x"
+    assert run_command(["norm", f"{digits}/7*y", "--N", "3"]).text == f"{digits}/7*y"
+
+
+def test_cli_large_powers_and_orders_answer_at_once():
+    result = run_command(["norm", "(x+y)^60", "--N", "3", "--json"])
+    assert result.status == 0 and len(result.payload["terms"]) == 1831
+    assert run_command(["norm", "0^100000000", "--N", "3"]).text == "0"
+    shear = json.dumps({"lambda": "1/1", "f": ["1/1"]})
+    result = run_command(["aut", "order", "--N", "2", "--a", shear, "--bound", "1000000000"])
+    assert (result.status, result.payload, result.text) == (0, {"order": None}, "None")
+    flip = json.dumps({"lambda": "-1/1", "f": ["1/1"]})
+    result = run_command(["aut", "order", "--N", "2", "--a", flip, "--bound", "1000000000", "--json"])
+    assert (result.status, result.payload) == (0, {"order": 2})

@@ -9,6 +9,8 @@ import pytest
 from xnalg import linalg
 from xnalg.cli import run_command
 from xnalg.cohomology import (
+    DimsReport,
+    VeroneseRelationReport,
     bracket_table,
     build_slice,
     expected_l_bracket,
@@ -916,3 +918,25 @@ def test_twisted_derivations_are_localized_inner():
                     recovered = ad_phi(w, twist)
                     assert restrict_to_algebra(recovered).dx == d.dx
                 u = dn1.apply(u)
+
+
+def test_records_construct_compare_and_print_field_by_field():
+    args = (3, 1, 0, 2, None, [1, 2, 2], [1, 2, 2], True, [0], [0], True)
+    report = DimsReport(*args)
+    by_keyword = DimsReport(3, 1, 0, 2, None, [1, 2, 2], [1, 2, 2], True,
+                            euler_computed=[0], euler_expected=[0], euler_match=True)
+    assert report == by_keyword
+    assert report != DimsReport(*args[:-1], False)
+    assert report.computed == [1, 2, 2] and report.twist_order is None
+    assert repr(report).startswith("DimsReport(N=3, p=1, lo=0, hi=2, twist_order=None, ")
+    with pytest.raises(TypeError):
+        DimsReport(*args[:-1])
+    with pytest.raises(TypeError):
+        DimsReport(*args, euler_match=False)
+    ctx = AlgebraCtx(3)
+    s = build_slice(ctx, 2)
+    assert s == build_slice(ctx, 2)
+    assert (s.d0, s.d1) == (build_slice(ctx, 2).d0, build_slice(ctx, 2).d1)
+    assert repr(s).startswith("ComplexSlice(ctx=AlgebraCtx(N=3, field=Q), l=2, omega=None, ")
+    report = veronese_relation_report(4, 3)
+    assert report == VeroneseRelationReport(4, 3, 3, 6, 2, 1) and report.discrepancy

@@ -698,3 +698,47 @@ def test_automorphism_json_round_trip():
     aut = Automorphism(ctx, fld.zeta, [fld.one, fld.zero, fld.zeta * 2])
     blob = json.dumps(aut.to_json())
     assert Automorphism.from_json(json.loads(blob), ctx) == aut
+
+
+def _searched_order(aut, bound):
+    """Least k <= bound with aut^k the identity, by composing k times."""
+    acc = aut
+    for k in range(1, bound + 1):
+        if acc.is_identity():
+            return k
+        acc = acc.compose(aut)
+    return None
+
+
+def test_aut_order_agrees_with_the_composition_search():
+    rng = random.Random(29)
+    cases = []
+    for N in (2, 3, 4):
+        ctx = AlgebraCtx(N)
+        for lam in (1, -1, 2, Fraction(1, 2)):
+            for f in ([], [1], [0, 1], [1, 0, 2], [rng.randint(-3, 3) for _ in range(3)]):
+                cases.append(Automorphism(ctx, lam, f))
+        for n in (3, 4, 5, 6):
+            fld = CycloField(n)
+            ctx = AlgebraCtx(N, False, fld)
+            for lam in (fld.zeta, -fld.zeta, fld.zeta ** 2, fld.zeta + 1):
+                for f in ([], [1], [0, 1], [0, 0, 1]):
+                    cases.append(Automorphism(ctx, lam, f))
+    finite = 0
+    for aut in cases:
+        for bound in (1, 2, 3, 5, 12, 13):
+            assert aut.order(bound) == _searched_order(aut, bound), (aut, bound)
+        finite += aut.order(13) is not None
+    # shears that cancel: x -> -x, y -> -y + f(x) with f even has order 2
+    assert Automorphism(AlgebraCtx(2), -1, [1, 0, 3]).order(2) == 2
+    assert finite > 20
+
+
+def test_aut_order_needs_no_search_up_to_the_bound():
+    ctx = AlgebraCtx(2)
+    assert Automorphism(ctx, 1, [1]).order(10**9) is None
+    assert Automorphism(ctx, 2).order(10**9) is None
+    assert Automorphism(ctx, -1).order(10**9) == 2
+    fld = CycloField(5)
+    assert Automorphism(AlgebraCtx(3, False, fld), fld.zeta).order(10**9) == 5
+    assert Automorphism(AlgebraCtx(3, False, fld), -fld.zeta).order(10**9) == 10

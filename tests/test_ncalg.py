@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -5,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from xnalg import ncalg
 from xnalg.ncalg import (
     AlgebraCtx,
     CtxMismatchError,
@@ -15,15 +17,17 @@ from xnalg.ncalg import (
     comm_move_right,
     commutator,
     hilbert_count,
+    normalize_product,
     laguerre_identity_check,
     normal_order_power,
     phi_element,
     power,
     render_element,
 )
-from xnalg.scalars import CycloField
+from xnalg.scalars import CycloField, QPoly, repeated_squaring
 
 from oracles import brute_normalize, monomial_word, nullspace
+from polys import PolyRing
 
 
 def _as_table(elt):
@@ -365,3 +369,103 @@ def test_render_element():
     elt = ctx.monomial(2, 1, Fraction(3, 2)) - ctx.monomial(0, 0, 1)
     assert render_element(elt) == "-1 + 3/2*x^2*y"
     assert render_element(ctx.zero()) == "0"
+
+
+def _oracle_power(a, k):
+    """a^k expanded over every k-tuple of terms, each word normalized by the
+    rewriting oracle (the one empty tuple gives a^0 = 1)."""
+    ctx = a.ctx
+    out = ctx.zero()
+    for combo in itertools.product(a.terms.items(), repeat=k):
+        c, word = ctx.field.one, ()
+        for (i, j), cc in combo:
+            c, word = c * cc, word + monomial_word(i, j)
+        table = brute_normalize(word, ctx.N)
+        out = out + Element(ctx, {key: c * v for key, v in table.items()})
+    return out
+
+
+def test_power_by_left_multiplication_matches_squaring_and_the_oracle():
+    rng = random.Random(27)
+    T = QPoly.gen()
+    rings = [
+        (AlgebraCtx(2), lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3))),
+        (AlgebraCtx(3), lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3))),
+        (AlgebraCtx(3, True), lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3))),
+        (AlgebraCtx(3, False, CycloField(3)),
+         lambda: CycloField(3).from_coeffs([rng.randint(-2, 2), Fraction(1, rng.randint(1, 3))])),
+        (AlgebraCtx(2, False, PolyRing()), lambda: QPoly((rng.randint(-2, 2), 1)) * T),
+    ]
+    for ctx, coeff in rings:
+        low = -2 if ctx.localized else 0
+        for _ in range(4):
+            a = ctx.zero()
+            for _ in range(rng.randint(2, 3)):
+                a = a + ctx.monomial(rng.randint(low, 2), rng.randint(0, 1), coeff())
+            squared = {k: repeated_squaring(a, k, ctx.one()) for k in (0, 1, 2, 3, 9)}
+            for k, want in squared.items():
+                assert power(a, k) == want, (ctx, a, k)
+            for k in (0, 1, 2, 3):
+                assert power(a, k) == _oracle_power(a, k), (ctx, a, k)
+    ctx = AlgebraCtx(3)
+    a = Fraction(1, 2) * ctx.one() + ctx.x() - Fraction(2, 3) * ctx.y()
+    assert power(a, 20) == repeated_squaring(a, 20, ctx.one())
+
+
+def test_power_of_a_pure_monomial_stays_one_term_at_any_exponent(monkeypatch):
+    ctx = AlgebraCtx(3, True)
+    products = []
+
+    def counted(a, b):
+        products.append((a, b))
+        return normalize_product(a, b)
+
+    monkeypatch.setattr(ncalg, "normalize_product", counted)
+    cases = [
+        (ctx.x(), 10**8, ctx.x(10**8)),
+        (ctx.x(-1), 10**6, ctx.x(-(10**6))),
+        (ctx.monomial(0, 2, Fraction(-1, 2)), 41, ctx.monomial(0, 82, Fraction(-1, 2**41))),
+        (ctx.zero(), 10**6, ctx.zero()),
+        (ctx.zero(), 0, ctx.one()),
+    ]
+    for base, k, want in cases:
+        products.clear()
+        assert power(base, k) == want
+        # squared: a product per bit of the exponent, not one per unit
+        assert len(products) <= 2 * k.bit_length(), (base, k)
+    # a one-term base with both letters grows and is multiplied on the left
+    xy = ctx.monomial(1, 1)
+    assert power(xy, 12) == repeated_squaring(xy, 12, ctx.one())
+
+
+def test_products_over_q_on_numerators_keep_their_types():
+    ctx = AlgebraCtx(3)
+    rng = random.Random(31)
+
+    def word_by_word(a, b):
+        out = ctx.zero()
+        for (i1, j1), c1 in a.terms.items():
+            for (i2, j2), c2 in b.terms.items():
+                table = brute_normalize(monomial_word(i1, j1) + monomial_word(i2, j2), ctx.N)
+                out = out + Element(ctx, {key: c1 * c2 * v for key, v in table.items()})
+        return out
+
+    for _ in range(20):
+        a = Element(ctx, {(rng.randint(0, 3), rng.randint(0, 2)): Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+                          for _ in range(4)})
+        b = Element(ctx, {(rng.randint(0, 3), rng.randint(0, 2)): Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+                          for _ in range(4)})
+        got = normalize_product(a, b)
+        assert got == word_by_word(a, b)
+        for c in got.terms.values():
+            assert type(c) is Fraction and math.gcd(c.numerator, c.denominator) == 1
+    # int-only operands give int coefficients, whatever their size
+    a = Element(ctx, {(0, 1): 2, (1, 0): -3, (2, 1): 5})
+    b = Element(ctx, {(1, 1): 7, (0, 0): 1})
+    got = normalize_product(a, b)
+    assert got == word_by_word(a, b)
+    assert {type(c) for c in got.terms.values()} == {int}
+    # a Fraction in first place puts the whole product on numerators
+    mixed = Element(ctx, {(0, 1): Fraction(1, 2), (1, 0): 3})
+    assert {type(c) for c in normalize_product(mixed, a).terms.values()} == {Fraction}
+    assert normalize_product(mixed, a) == word_by_word(mixed, a)

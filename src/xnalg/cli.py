@@ -54,6 +54,10 @@ class ParseError(ValueError):
 # violation (exit 2) well before the interpreter's recursion limit.
 MAX_NESTING = 100
 
+# str.isdigit() also accepts digits such as '²' or '٣', which int() refuses
+# or reads as ASCII digits; literals are ASCII only.
+_DIGITS = "0123456789"
+
 
 def _tokenize(src):
     tokens = []
@@ -63,15 +67,15 @@ def _tokenize(src):
         if ch.isspace():
             k += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = k
-            while k < len(src) and src[k].isdigit():
+            while k < len(src) and src[k] in _DIGITS:
                 k += 1
             if k < len(src) and src[k] == "/":
                 k += 1
-                if k >= len(src) or not src[k].isdigit():
+                if k >= len(src) or src[k] not in _DIGITS:
                     raise ParseError(k, "expected a denominator")
-                while k < len(src) and src[k].isdigit():
+                while k < len(src) and src[k] in _DIGITS:
                     k += 1
             text = src[start:k]
             if max(map(len, text.split("/"))) > MAX_OUTPUT_DIGITS:
@@ -476,11 +480,16 @@ _COMMANDS = (
 )
 
 
-def _build_parser():
+def _build_parser(names=None):
+    """The parser of every subcommand; with `names`, only the subcommands
+    named there get their options and handler.  argparse picks a subcommand
+    by an exact token match, so a request's tokens name the one it runs."""
     parser = _CliParser(prog="xnalg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, blurb, handler, args in _COMMANDS:
         p = sub.add_parser(name, help=blurb)
+        if names is not None and name not in names:
+            continue
         for flag, kw in args:
             p.add_argument(flag, **kw)
         p.add_argument("--json", action="store_true")
@@ -490,7 +499,7 @@ def _build_parser():
 
 def run_command(argv) -> CommandResult:
     try:
-        ns = _build_parser().parse_args(argv)
+        ns = _build_parser(set(argv)).parse_args(argv)
         if hasattr(ns, "lo") and ns.lo > ns.hi:
             raise ValueError(f"empty degree window: --from {ns.lo} is above --to {ns.hi}")
         payload, render = ns.handler(ns)

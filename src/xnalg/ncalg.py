@@ -350,6 +350,55 @@ def commutator(a: Element, b: Element) -> Element:
     return a * b - b * a
 
 
+# Budget of a power a^k of an element of several terms, in the units of
+# `_power_cost` (about a microsecond each), so that an accepted power answers
+# in about a second at N = 3.
+MAX_POWER_COST = 1_000_000
+# the coefficient size, in bits, at which a word costs about twice as much
+_POWER_COST_BITS = 1000
+
+
+def _power_cost(a: Element, k: int) -> int:
+    """An estimate of the work of a^k by left multiplication, from bounds on
+    the terms and coefficient sizes of a^1 .. a^(k-1).
+
+    Products keep the grading and never raise the y-exponent, so a^i has at
+    most i (dmax - dmin) + 1 degrees times i s + 1 y-exponents, for a base of
+    level s.  A base without x or without y rewrites no word, and the
+    exponents of a^i stay in i times the base's exponent ranges.  Each step
+    makes |a| words per term (two more with a non-integer coefficient), each
+    rewritten into at most s + 1 words when the base has x and y.  A step
+    adds at most h + log2 |a| bits to a coefficient, for a base of
+    height h, and a rewrite weight (b)_{N-1,m} binom(s, m) adds
+    s (log2 X + 1) more for x-exponents below X.  A word on a coefficient of
+    c rational coordinates (euler_phi(n) over Q(zeta_n)) costs 4 + 2c times
+    more."""
+    keys = list(a.terms)
+    xs, ys = [i for i, _ in keys], [j for _, j in keys]
+    s, span = max(ys), a.ctx.N - 1
+    if any(xs) and s:
+        degrees = [i + span * j for i, j in keys]
+        p, q, rewrites = max(degrees) - min(degrees), s, s + 1
+        reach = k * (max(map(abs, xs)) + s * abs(span)) + 1
+        rewrite_bits = s * (reach.bit_length() + 1)
+    else:
+        p, q, rewrites, rewrite_bits = max(xs) - min(xs), s - min(ys), 1, 0
+    n = max(k - 1, 0)
+    terms = p * q * n * (n + 1) * (2 * n + 1) // 6 + (p + q) * n * (n + 1) // 2 + n
+    coords, scale = [], 1
+    for v in a.terms.values():
+        if type(v) in _RATIONAL_TYPES:
+            coords.append(v)
+        else:
+            # a Q(zeta_n) scalar (or a polynomial) and its rational coordinates
+            coords += v.coeffs
+            scale = max(scale, 4 + 2 * len(v.coeffs))
+    height = max((abs(c.numerator) * c.denominator).bit_length() - 1 for c in coords)
+    bits = k * (height + (len(keys) - 1).bit_length() + rewrite_bits)
+    words = (len(keys) + 2 * any(c.denominator != 1 for c in coords)) * rewrites
+    return words * terms * scale * (_POWER_COST_BITS**2 + bits**2) // _POWER_COST_BITS**2
+
+
 def power(a: Element, k: int) -> Element:
     """a^k by k - 1 multiplications on the left by a; a^0 = 1.
 
@@ -358,12 +407,19 @@ def power(a: Element, k: int) -> Element:
     multiplies two large operands of high y-degree.  Repeated multiplication
     beats squaring for sparse polynomials (Fateman, Stud. Appl. Math. 53,
     1974), and the commutation rule widens the gap.  Zero and a base c x^i
-    or c y^j have powers of at most one term, so they square."""
+    or c y^j have powers of at most one term, so they square; a power of
+    several terms past `MAX_POWER_COST` is refused before any product."""
     if not isinstance(k, int) or k < 0:
         raise ValueError("element powers take a non-negative integer")
     keys = list(a.terms)
     if not keys or (len(keys) == 1 and 0 in keys[0]):
         return repeated_squaring(a, k, a.ctx.one())
+    cost = _power_cost(a, k)
+    if cost > MAX_POWER_COST:
+        raise ValueError(
+            f"the power {k} of a {len(keys)}-term element has an estimated cost of {cost}, "
+            f"above the power budget of {MAX_POWER_COST}"
+        )
     out = a if k else a.ctx.one()
     for _ in range(k - 1):
         out = normalize_product(a, out)

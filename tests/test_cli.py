@@ -930,3 +930,105 @@ def test_cli_large_powers_and_orders_answer_at_once():
     flip = json.dumps({"lambda": "-1/1", "f": ["1/1"]})
     result = run_command(["aut", "order", "--N", "2", "--a", flip, "--bound", "1000000000", "--json"])
     assert (result.status, result.payload) == (0, {"order": 2})
+
+
+def test_cli_non_ascii_digits_are_parse_errors():
+    # digits are ASCII only: a superscript or an Arabic-Indic digit is an
+    # unexpected character (exit 1), in both output modes
+    for expr, pos, ch in (("x^²", 2, "²"), ("x^³", 2, "³"), ("٣*x", 0, "٣"), ("3/٣*x", 2, None)):
+        message = (f"position {pos}: unexpected character {ch!r}" if ch
+                   else f"position {pos}: expected a denominator")
+        for extra in ([], ["--json"]):
+            result = run_command(["norm", expr, "--N", "3", *extra])
+            assert (result.status, result.text) == (1, f"parse error: {message}"), expr
+            assert result.payload == {"error": message}
+    assert run_command(["norm", "x^2 + 10*y", "--N", "3"]).text == "10*y + x^2"
+
+
+def test_cli_power_budget_exits_2():
+    # refused before any product, in both modes; each pair of terms of
+    # ((x+y)^60)^2 rewrites into up to 61 words
+    for expr in ("(1+y)^2000", "(1+x)^2000", "(x+y)^150", "(x*y)^100000", "((x+y)^60)^2"):
+        for extra in ([], ["--json"]):
+            result = run_command(["norm", expr, "--N", "3", *extra])
+            assert result.status == 2, expr
+            assert result.text.startswith("precondition violated: the power "), expr
+            assert result.text.endswith(", above the power budget of 1000000"), expr
+            assert result.payload == {"error": result.text.removeprefix("precondition violated: ")}
+    # zero and the one-term bases c x^i, c y^j stay exempt
+    assert run_command(["norm", "x^100000000", "--N", "3"]).text == "x^100000000"
+    assert run_command(["norm", "(2*y)^1000", "--N", "3"]).text == f"{2**1000}*y^1000"
+    assert run_command(["norm", "(x+y)^60", "--N", "3"]).status == 0
+
+
+def _full_parser_requests(tmp_path):
+    document = tmp_path / "derivation.json"
+    document.write_text(json.dumps(ad_phi(AlgebraCtx(3).x(2)).to_json()), encoding="utf-8")
+    valid = [
+        ["norm", "y*x - x*y", "--N", "4"], ["cseq", "--j", "2"], ["bern", "--n", "2"],
+        ["greg", "--n", "2", "--json"], ["phi", "--N", "2", "--j", "3"],
+        ["laguerre-check", "--N", "3", "--i", "1", "--j", "1"],
+        ["hh", "--N", "3", "--from", "0", "--to", "1", "--p", "1"],
+        ["bracket", "--N", "3", "--l", "2", "--m", "3", "--json"],
+        ["inner", "--file", str(document)], ["residue", "--file", str(document), "--json"],
+        ["taft", "--N", "3", "--n", "2", "--max-degree", "1"],
+        ["aut", "order", "--N", "2", "--a", '{"lambda": "-1/1", "f": []}'],
+        ["veronese", "--N", "4", "--m", "3", "--from", "0", "--to", "3"],
+        ["nil", "--N", "4", "--r", "1", "--s", "1", "--from", "-3", "--to", "2"],
+    ]
+    assert [argv[0] for argv in valid] == [name for name, *_ in cli._COMMANDS]
+    return [
+        *valid,
+        *([name, "--help"] for name, *_ in cli._COMMANDS),
+        ["--help"], ["-h"], [], ["frobnicate"], ["frobnicate", "--N", "3"],
+        # an option before the command
+        ["--json", "norm", "x", "--N", "3"], ["--N", "3", "norm", "x"],
+        # a value equal to a command name, and two command names
+        ["norm", "hh", "--N", "3"], ["inner", "--file", "norm"], ["norm", "x", "--N", "3", "hh"],
+        ["aut", "apply", "--N", "2", "--a", '{"lambda": "1/1", "f": []}', "--expr", "x", "--b", "nil"],
+        # unknown, abbreviated and repeated options
+        ["norm", "x", "--N", "3", "--bogus"], ["norm", "x", "--N", "3", "--field", "3"],
+        ["hh", "--N", "3", "--from", "0", "--to", "2", "--twist", "3"],
+        ["hh", "--N", "3", "--from", "0", "--to", "2", "--tw", "3", "--p", "0"],
+        ["norm", "x", "--N", "3", "--N", "4", "--json"], ["bracket", "--N", "3", "--l", "2"],
+        ["norm", "y*x", "--N", "3", "--json", "--json"],
+        # exit 2 and parse errors between the others
+        ["hh", "--N", "3", "--from", "0", "--to", "100000"], ["norm", "x +* y", "--N", "3"],
+        ["norm", "y*x - x*y", "--N", "4", "--json"],
+    ]
+
+
+def test_cli_named_subcommands_answer_as_the_full_parser(tmp_path, monkeypatch):
+    # run_command builds the options of only the subcommands its argv names;
+    # every request, back to back in one process, gets the same result as
+    # from the parser of every subcommand
+    full_build = cli._build_parser
+    for argv in _full_parser_requests(tmp_path):
+        named = run_command(argv)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_build_parser", lambda names=None: full_build())
+            assert run_command(argv) == named, argv
+
+
+def test_cli_parser_builds_only_the_named_subcommands(monkeypatch):
+    names = [name for name, *_ in cli._COMMANDS]
+    blurbs = [blurb for _, blurb, *_ in cli._COMMANDS]
+
+    def built(parser):
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        # every subcommand keeps its name and help line
+        assert list(subparsers.choices) == names
+        assert [a.help for a in subparsers._choices_actions] == blurbs
+        return {name for name, sub in subparsers.choices.items()
+                if [a.dest for a in sub._actions] != ["help"]}
+
+    assert built(cli._build_parser({"hh"})) == {"hh"}
+    assert built(cli._build_parser({"norm", "x", "--N", "hh"})) == {"norm", "hh"}
+    assert built(cli._build_parser(set())) == set()
+    assert built(cli._build_parser()) == set(names)
+    # run_command names the subcommands from its argv tokens
+    seen = []
+    full_build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda names=None: seen.append(names) or full_build(names))
+    assert run_command(["hh", "--N", "3", "--from", "0", "--to", "1"]).status == 0
+    assert seen == [{"hh", "--N", "3", "--from", "0", "--to", "1"}]

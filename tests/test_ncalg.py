@@ -469,3 +469,34 @@ def test_products_over_q_on_numerators_keep_their_types():
     mixed = Element(ctx, {(0, 1): Fraction(1, 2), (1, 0): 3})
     assert {type(c) for c in normalize_product(mixed, a).terms.values()} == {Fraction}
     assert normalize_product(mixed, a) == word_by_word(mixed, a)
+
+
+def test_power_cost_covers_the_words_of_every_step():
+    # the estimate is at least the words that a^(i+1) = a * a^i, i < k, makes:
+    # x^i1 y^j1 * x^i2 y^j2 rewrites y^j1 x^i2 into up to j1 + 1 words (one
+    # when i2 = 0), however the base mixes x, y and (localized) x^-1
+    rng = random.Random(28)
+    contexts = [AlgebraCtx(n) for n in range(5)] + [AlgebraCtx(3, True), AlgebraCtx(2, False, CycloField(3))]
+    for ctx in contexts:
+        low = -2 if ctx.localized else 0
+        for _ in range(6):
+            a = ctx.zero()
+            while len(a.terms) < 2:
+                a = a + ctx.monomial(rng.randint(low, 3), rng.randint(0, 2), rng.choice([1, 2, Fraction(-1, 3)]))
+            out, words = a, 0
+            for k in range(2, 9):
+                words += sum(j1 + 1 if i2 else 1 for (_, j1) in a.terms for (i2, _) in out.terms)
+                assert ncalg._power_cost(a, k) >= words, (ctx, a, k)
+                out = normalize_product(a, out)
+
+
+def test_power_budget_refuses_before_any_product(monkeypatch):
+    ctx = AlgebraCtx(3)
+    products = []
+    monkeypatch.setattr(ncalg, "normalize_product", lambda a, b: products.append(1))
+    for base, k in ((ctx.one() + ctx.y(), 2000), (ctx.one() + ctx.x(), 2000),
+                    (ctx.x() + ctx.y(), 150), (ctx.monomial(1, 1), 10**5)):
+        with pytest.raises(ValueError, match=r"above the power budget of 1000000$"):
+            power(base, k)
+    assert products == []
+    assert ncalg._power_cost(ctx.x() + ctx.y(), 60) <= ncalg.MAX_POWER_COST

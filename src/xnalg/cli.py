@@ -27,7 +27,7 @@ from .cohomology import (
     veronese_relation_report,
 )
 from .maps import Automorphism, GenDerivation
-from .ncalg import AlgebraCtx, Element, laguerre_identity_check, phi_element, render_element
+from .ncalg import AlgebraCtx, Element, laguerre_identity_check, phi_element, product, render_element
 from .scalars import MAX_OUTPUT_DIGITS, CycloField, SchemaError, rational_to_json, scalar_to_json
 from .sequences import bernoulli, c_poly, gregory
 
@@ -211,10 +211,7 @@ def eval_expr(ast, ctx: AlgebraCtx) -> Element:
         out = ctx.one()
         for atom, exp in ast[1]:
             base = eval_expr(atom, ctx)
-            if exp >= 0:
-                out = out * base ** exp
-            else:
-                out = out * ctx.monomial(exp, 0)
+            out = product(out, base ** exp if exp >= 0 else ctx.monomial(exp, 0))
         return out
     if kind == "num":
         return ctx.scalar(ast[1])

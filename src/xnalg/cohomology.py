@@ -29,17 +29,16 @@ from .maps import (
     decompose_degree,
     grading_derivation,
     partial_l,
-    relation_residual,
     restrict_to_algebra,
 )
-from .ncalg import AlgebraCtx, Element, basis_of_degree, check_phi_index, commutator
+from .ncalg import AlgebraCtx, Element, add_word, basis_of_degree, check_phi_index, commutator
 from .scalars import CycloField, CycloScalar, numerators, scalar_to_json
 from .sequences import gaussian_binomial
 
 
 def _matrix(columns, bases):
     """Sparse rows {column: scalar} of the matrix whose k-th column stacks the
-    coefficient vectors of the elements columns[k][b] over the monomial
+    coefficient tables {monomial: scalar} columns[k][b] over the monomial
     bases[b], the rows of bases[0] on top.  Only nonzero entries are stored,
     the format of :mod:`xnalg.linalg`."""
     row_of, nrows = [], 0
@@ -47,10 +46,11 @@ def _matrix(columns, bases):
         row_of.append({mono: nrows + r for r, mono in enumerate(basis)})
         nrows += len(basis)
     rows = [{} for _ in range(nrows)]
-    for col, elts in enumerate(columns):
-        for block, elt in zip(row_of, elts):
-            for key, c in elt.terms.items():
-                rows[block[key]][col] = c
+    for col, tables in enumerate(columns):
+        for block, table in zip(row_of, tables):
+            for key, c in table.items():
+                if c:
+                    rows[block[key]][col] = c
     return rows
 
 
@@ -61,15 +61,12 @@ def _inner_decomposition(target, reps, candidates, twist=None):
     outside the span.  The witness is re-applied to the residual before it is
     returned."""
     ctx = target.ctx
-    columns = [(rep.dx, rep.dy) for rep in reps]
+    columns = [(rep.dx.terms, rep.dy.terms) for rep in reps]
     for mono in candidates:
         w = ad_phi(ctx.monomial(*mono), twist)
-        columns.append((w.dx, w.dy))
-    goal = (target.dx, target.dy)
-    bases = [
-        sorted({key for elts in (goal, *columns) for key in elts[b].terms})
-        for b in range(2)
-    ]
+        columns.append((w.dx.terms, w.dy.terms))
+    goal = (target.dx.terms, target.dy.terms)
+    bases = [sorted({key for tables in (goal, *columns) for key in tables[b]}) for b in range(2)]
     rows = _matrix([*columns, goal], bases)
     rhs = [row.pop(len(columns), ctx.field.zero) for row in rows]
     sol = linalg.solve(rows, rhs, len(columns), ctx.field)
@@ -89,12 +86,17 @@ def _inner_decomposition(target, reps, candidates, twist=None):
 
 class _Record:
     """A plain record: its fields are its ``__slots__``, set positionally or
-    by keyword; records of one class compare and print field by field."""
+    by keyword; records of one class compare and print field by field.  A
+    slot named with a leading underscore is a cache, not a field."""
 
     __slots__ = ()
 
+    @property
+    def _fields(self):
+        return [name for name in self.__slots__ if name[0] != "_"]
+
     def __init__(self, *args, **kwargs):
-        names = self.__slots__
+        names = self._fields
         rest = names[len(args):]
         if len(args) > len(names) or set(kwargs) != set(rest):
             raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
@@ -104,7 +106,7 @@ class _Record:
             setattr(self, name, kwargs[name])
 
     def _values(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -112,23 +114,34 @@ class _Record:
         return self._values() == other._values()
 
     def __repr__(self):
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({body})"
 
 
 class ComplexSlice(_Record):
-    """The degree-l slice of the three-term complex, with exact matrices of
-    both differentials as sparse rows {column: scalar} from `_matrix` (rows
-    indexed by the codomain bases, columns by the domain bases).  d0 sends a
-    to ad_phi(a) = (a x - phi(x) a, a y - phi(y) a), the negative of the
-    other usual sign; image, kernel and ranks are the same under either sign."""
+    """The degree-l slice of the three-term complex.  `rows0` and `rows1`, the
+    checked matrices of d0 and d1 that `dims` ranks, are sparse rows from
+    `_matrix` (rows indexed by the codomain bases, columns by the domain
+    bases) of Python ints on an untwisted slice over Q, of field scalars
+    otherwise; `d0` and `d1` are them over the field, built on first read and
+    kept.  d0 sends a to ad_phi(a) = (a x - phi(x) a, a y - phi(y) a), the
+    negative of the other usual sign; image, kernel and ranks agree."""
 
-    __slots__ = ("ctx", "l", "omega", "basis0", "basis1x", "basis1y", "basis2", "d0", "d1")
+    __slots__ = ("ctx", "l", "omega", "basis0", "basis1x", "basis1y", "basis2", "rows0", "rows1",
+                 "_d0", "_d1")
+
+    d0 = property(lambda self: self._over_field("_d0", self.rows0))
+    d1 = property(lambda self: self._over_field("_d1", self.rows1))
+
+    def _over_field(self, name, rows):
+        if not hasattr(self, name):
+            setattr(self, name, [{col: Fraction(c) for col, c in row.items()} for row in rows])
+        return getattr(self, name)
 
     def dims(self):
         """(dim HH^0, dim HH^1, dim HH^2) on this slice."""
-        rank0 = linalg.rank(self.d0, len(self.basis0))
-        rank1 = linalg.rank(self.d1, len(self.basis1x) + len(self.basis1y))
+        rank0 = linalg.rank(self.rows0, len(self.basis0))
+        rank1 = linalg.rank(self.rows1, len(self.basis1x) + len(self.basis1y))
         h0 = len(self.basis0) - rank0
         h1 = (len(self.basis1x) + len(self.basis1y)) - rank1 - rank0
         h2 = len(self.basis2) - rank1
@@ -140,13 +153,15 @@ def build_slice(ctx: AlgebraCtx, l: int, omega=None) -> ComplexSlice:
     diagonal automorphism x -> omega x, y -> omega^{N-1} y.
 
     The rows are assembled from integer-unit monomials and every weight stays
-    a Python int; a twist enters only through lam^k and phi(y), as powers of a
-    formal t, so each twisted entry is an integer polynomial in t.  The
-    composite d1 . d0 of those rows is checked to vanish (in Z[t] with a
+    a Python int: d0 from ad_phi, d1 from the words of relation_residual
+    added by add_word.  A twist enters only through lam^k and phi(y), as
+    powers of a formal t, so each twisted entry is an integer polynomial in t.
+    The composite d1 . d0 of those rows is checked to vanish (in Z[t] with a
     twist, so for every twist scalar at once), and each d0 row that no d1 row
-    reads is compared with ad_phi; each nonzero becomes a field scalar (its
-    value at t = omega) only after the checks, and one that vanishes there is
-    dropped.
+    reads is compared with ad_phi.  An untwisted slice over Q keeps the
+    checked integer rows; on any other slice each nonzero becomes a field
+    scalar (its value at t = omega) after the checks, and one that vanishes
+    there is dropped.
     """
     if ctx.N < 2:
         raise ValueError("degreewise cohomology needs N >= 2")
@@ -159,8 +174,8 @@ def build_slice(ctx: AlgebraCtx, l: int, omega=None) -> ComplexSlice:
     basis1x = basis_of_degree(ctx, l + 1)
     basis1y = basis_of_degree(ctx, l + k)
     basis2 = basis_of_degree(ctx, l + N)
-    zero = ctx.zero()
     twist = scalar = None
+    t = [1] * N  # lam^0 .. lam^{N-1}: ones untwisted, powers of a formal t twisted
     if omega is not None and omega != ctx.field.one:
         # Width of the substitution.  Every word x^a y^s x^b y^r met here has
         # degree at most D = l + N, so b + sk <= D; moving one y across x^c
@@ -200,11 +215,19 @@ def build_slice(ctx: AlgebraCtx, l: int, omega=None) -> ComplexSlice:
     d0_columns = []
     for mono in basis0:
         d = ad_phi(Element(ctx, {mono: 1}), twist)
-        d0_columns.append((d.dx, d.dy))
+        d0_columns.append((d.dx.terms, d.dy.terms))
     d0 = _matrix(d0_columns, [basis1x, basis1y])
-    residuals = [relation_residual(Element(ctx, {m: 1}), zero, twist) for m in basis1x]
-    residuals += [relation_residual(zero, Element(ctx, {m: 1}), twist) for m in basis1y]
-    d1 = _matrix([(r,) for r in residuals], [basis2])
+    # relation_residual's words; the twist is diagonal, so phi(y) dx = lam^k y dx
+    d1_columns = [{} for _ in range(len(basis1x) + len(basis1y))]
+    for col, (i, j) in zip(d1_columns, basis1x):
+        add_word(col, t[k], 0, 1, i, j, k)
+        add_word(col, -1, i, j, 0, 1, k)
+        for s in range(N):
+            add_word(col, -t[s], s + i, j, k - s, 0, k)
+    for col, (i, j) in zip(d1_columns[len(basis1x) :], basis1y):
+        add_word(col, 1, i, j, 1, 0, k)
+        add_word(col, -t[1], 1, 0, i, j, k)
+    d1 = _matrix([(col,) for col in d1_columns], [basis2])
 
     # d1 . d0 on the rows that are ranked (before any conversion to field
     # scalars): row r of the product sums d1[r][mid] * d0[mid] over the
@@ -236,12 +259,14 @@ def build_slice(ctx: AlgebraCtx, l: int, omega=None) -> ComplexSlice:
                     expected[col] = c
         if d0[r] != expected:
             raise AssertionError("a d0 row disagrees with ad_phi")
-    if scalar is None:
-        scalar = Fraction if ctx.field.order == 1 else ctx.coerce
+    if scalar is None and ctx.field.order == 1:
+        return ComplexSlice(ctx, l, omega, basis0, basis1x, basis1y, basis2, d0, d1)
+    scalar = scalar or ctx.coerce
     d0 = [{col: s for col, c in row.items() if (s := scalar(c))} for row in d0]
     d1 = [{col: s for col, c in row.items() if (s := scalar(c))} for row in d1]
-
-    return ComplexSlice(ctx, l, omega, basis0, basis1x, basis1y, basis2, d0, d1)
+    out = ComplexSlice(ctx, l, omega, basis0, basis1x, basis1y, basis2, d0, d1)
+    out._d0, out._d1 = d0, d1
+    return out
 
 
 def expected_hh_dim(N: int, p: int, l: int, twist_branch) -> int:
@@ -303,11 +328,17 @@ class DimsReport(_Record):
 # Budgets of an hh_profile or veronese_basis window, refused as precondition
 # violations (exit 2 on the command line).  Over N = 2 a degree-l slice has
 # about l monomials per basis and its check and rank take about l^3 steps: the
-# window [-63..64] runs in about a second (Python 3.11, shared 2-vCPU x86
-# host), and the cost grows as the top degree cubed; so does that of the
+# window [-63..64] runs in 0.3 s (2.7 s over Q(zeta_5); Python 3.11, shared
+# 2-vCPU x86 host), and the cost grows as the top degree cubed; so does the
 # Veronese cross-check, about a second for N = 2, m = 4 on [0..64].
 MAX_HH_DEGREE = 64
 MAX_HH_WIDTH = 128
+# Budget of N in an hh_profile window.  Each dx column of d1 adds N words, and
+# with a twist each word carries t^s, an integer of about s * width bits, so a
+# twisted window costs about N^2 per slice: [-63..64] over Q(zeta_5) takes
+# about a second at N = 100 on the host above (0.65 s at N = 64, 1.6 s at
+# N = 128); untwisted, the same window takes 0.01 s there.
+MAX_HH_N = 100
 
 
 def _check_window(lo: int, hi: int):
@@ -322,8 +353,11 @@ def _check_window(lo: int, hi: int):
 def hh_profile(ctx: AlgebraCtx, lo: int, hi: int, omega=None):
     """All three cohomology dimension rows over a window, plus the per-degree
     Euler characteristics (computed two ways).  The window must lie within
-    the budgets MAX_HH_DEGREE (top degree) and MAX_HH_WIDTH (slices)."""
+    the budgets MAX_HH_DEGREE (top degree) and MAX_HH_WIDTH (slices), and N
+    within MAX_HH_N."""
     _check_window(lo, hi)
+    if ctx.N > MAX_HH_N:
+        raise ValueError(f"N = {ctx.N} is above the hh budget of {MAX_HH_N}")
     rows = {0: [], 1: [], 2: []}
     euler = []
     for l in range(lo, hi + 1):

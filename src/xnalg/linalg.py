@@ -8,16 +8,21 @@ echelon form, and in each pivots on the shortest row nonzero there
 variables set to zero is the vector a dense elimination gives.  Pivot rows
 stay unscaled; `solve` divides by each pivot once, in back substitution.
 Every division is exact in every supported field: no tolerance enters.
+`rank` of rows of Python ints eliminates fraction-free instead (Bareiss, Math.
+Comp. 22, 1968), dividing out the content of each updated row.
 """
 
 from __future__ import annotations
 
+from math import gcd
 
-def _eliminate(rows, ncols):
+
+def _eliminate(rows, ncols, integral=False):
     """Forward elimination on copies of `rows` over the columns below `ncols`:
     the pivots in column order as (column, pivot, row) triples, each row kept
     unscaled with its pivot entry dropped, and the nonzero rows left over
-    (zero below `ncols`)."""
+    (zero below `ncols`).  With `integral`, on rows of ints, an entry f under
+    a pivot p updates row <- (p/g) row - (f/g) source for g = gcd(p, f)."""
     active = [dict(row) for row in rows if row]
     pivots = []
     for col in range(ncols):
@@ -30,20 +35,30 @@ def _eliminate(rows, ncols):
             if row is source:
                 continue
             f = row.pop(col)
-            if source:
+            if not source:
+                continue
+            if integral:
+                g = gcd(p, f)
+                a, f = p // g, f // g
+                row.update({c: a * v for c, v in row.items()})
+            else:
                 f /= p
             for c, v in source.items():
                 w = row.pop(c, None)
                 w = -f * v if w is None else w - f * v
                 if w:
                     row[c] = w
+            if integral and row:
+                g = gcd(*row.values())
+                row.update({c: v // g for c, v in row.items()})
         active = [row for row in active if row and row is not source]
         pivots.append((col, p, source))
     return pivots, active
 
 
 def rank(rows, ncols) -> int:
-    return len(_eliminate(rows, ncols)[0])
+    integral = all(type(v) is int for row in rows for v in row.values())
+    return len(_eliminate(rows, ncols, integral)[0])
 
 
 def solve(rows, rhs, ncols, field):

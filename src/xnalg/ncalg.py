@@ -350,12 +350,36 @@ def commutator(a: Element, b: Element) -> Element:
     return a * b - b * a
 
 
-# Budget of a power a^k of an element of several terms, in the units of
-# `_power_cost` (about a microsecond each), so that an accepted power answers
-# in about a second at N = 3.
+# Budget of a power a^k of an element of several terms, and of a product of
+# two elements that is more than one word, in the units of `_power_cost`
+# (about a microsecond each), so that an accepted power or product answers in
+# about a second at N = 3.
 MAX_POWER_COST = 1_000_000
 # the coefficient size, in bits, at which a word costs about twice as much
 _POWER_COST_BITS = 1000
+
+
+def _coefficient_sizes(terms):
+    """(height, field factor, whether a coordinate is not an integer) of a
+    nonempty coefficient table: the height is the largest log2 |numerator| *
+    denominator over the rational coordinates, and a word on a coefficient of
+    c rational coordinates (euler_phi(n) over Q(zeta_n)) costs 4 + 2c times
+    more than over Q."""
+    coords, scale = [], 1
+    for v in terms.values():
+        if type(v) in _RATIONAL_TYPES:
+            coords.append(v)
+        else:
+            # a Q(zeta_n) scalar (or a polynomial) and its rational coordinates
+            coords += v.coeffs
+            scale = max(scale, 4 + 2 * len(v.coeffs))
+    height = max((abs(c.numerator) * c.denominator).bit_length() - 1 for c in coords)
+    return height, scale, any(c.denominator != 1 for c in coords)
+
+
+def _cost(words, scale, bits):
+    """Words at a field factor `scale` on coefficients of `bits` bits."""
+    return words * scale * (_POWER_COST_BITS**2 + bits**2) // _POWER_COST_BITS**2
 
 
 def _power_cost(a: Element, k: int) -> int:
@@ -370,9 +394,8 @@ def _power_cost(a: Element, k: int) -> int:
     rewritten into at most s + 1 words when the base has x and y.  A step
     adds at most h + log2 |a| bits to a coefficient, for a base of
     height h, and a rewrite weight (b)_{N-1,m} binom(s, m) adds
-    s (log2 X + 1) more for x-exponents below X.  A word on a coefficient of
-    c rational coordinates (euler_phi(n) over Q(zeta_n)) costs 4 + 2c times
-    more."""
+    s (log2 X + 1) more for x-exponents below X (`_coefficient_sizes` gives
+    h and the field factor)."""
     keys = list(a.terms)
     xs, ys = [i for i, _ in keys], [j for _, j in keys]
     s, span = max(ys), a.ctx.N - 1
@@ -385,18 +408,10 @@ def _power_cost(a: Element, k: int) -> int:
         p, q, rewrites, rewrite_bits = max(xs) - min(xs), s - min(ys), 1, 0
     n = max(k - 1, 0)
     terms = p * q * n * (n + 1) * (2 * n + 1) // 6 + (p + q) * n * (n + 1) // 2 + n
-    coords, scale = [], 1
-    for v in a.terms.values():
-        if type(v) in _RATIONAL_TYPES:
-            coords.append(v)
-        else:
-            # a Q(zeta_n) scalar (or a polynomial) and its rational coordinates
-            coords += v.coeffs
-            scale = max(scale, 4 + 2 * len(v.coeffs))
-    height = max((abs(c.numerator) * c.denominator).bit_length() - 1 for c in coords)
+    height, scale, fractional = _coefficient_sizes(a.terms)
     bits = k * (height + (len(keys) - 1).bit_length() + rewrite_bits)
-    words = (len(keys) + 2 * any(c.denominator != 1 for c in coords)) * rewrites
-    return words * terms * scale * (_POWER_COST_BITS**2 + bits**2) // _POWER_COST_BITS**2
+    words = (len(keys) + 2 * fractional) * rewrites
+    return _cost(words * terms, scale, bits)
 
 
 def power(a: Element, k: int) -> Element:
@@ -424,6 +439,42 @@ def power(a: Element, k: int) -> Element:
     for _ in range(k - 1):
         out = normalize_product(a, out)
     return out
+
+
+def _product_cost(a: Element, b: Element) -> int:
+    """An estimate of the work of the product a b, in the units of
+    `_power_cost`: a term x^i y^j of a and a term of b make one word,
+    rewritten into at most j + 1 words when b has x, so at most |a| |b| (s + 1)
+    for a left factor of level s.  Coefficients have at most
+    h_a + h_b + log2 min(|a|, |b|) bits, plus s (log2 X + 1) for the rewrite
+    weights when X bounds the x-exponents y^s moves across; the larger field
+    factor applies."""
+    height_a, scale_a, _ = _coefficient_sizes(a.terms)
+    height_b, scale_b, _ = _coefficient_sizes(b.terms)
+    s, xs = a.level(), [abs(i) for i, _ in b.terms]
+    words, rewrite_bits = len(a.terms), 0
+    if s and any(xs):
+        words = sum(j + 1 for _, j in a.terms)
+        rewrite_bits = s * ((max(xs) + s * abs(a.ctx.N - 1) + 1).bit_length() + 1)
+    size = min(len(a.terms), len(b.terms))
+    bits = height_a + height_b + (size - 1).bit_length() + rewrite_bits
+    return _cost(words * len(b.terms), max(scale_a, scale_b), bits)
+
+
+def product(a: Element, b: Element) -> Element:
+    """a * b, refused before any word when its estimated cost
+    (`_product_cost`) passes `MAX_POWER_COST`.  A product with zero or a
+    scalar makes at most one unrewritten word per term of the other factor,
+    and one of two one-term factors is one word; these are exempt."""
+    scalar = a.terms.keys() <= {(0, 0)} or b.terms.keys() <= {(0, 0)}
+    if not scalar and len(a.terms) * len(b.terms) > 1:
+        cost = _product_cost(a, b)
+        if cost > MAX_POWER_COST:
+            raise ValueError(
+                f"the product of a {len(a.terms)}-term and a {len(b.terms)}-term element has an "
+                f"estimated cost of {cost}, above the product budget of {MAX_POWER_COST}"
+            )
+    return a * b
 
 
 def basis_of_degree(ctx: AlgebraCtx, l: int, i_min=None):

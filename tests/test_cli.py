@@ -1032,3 +1032,38 @@ def test_cli_parser_builds_only_the_named_subcommands(monkeypatch):
     monkeypatch.setattr(cli, "_build_parser", lambda names=None: seen.append(names) or full_build(names))
     assert run_command(["hh", "--N", "3", "--from", "0", "--to", "1"]).status == 0
     assert seen == [{"hh", "--N", "3", "--from", "0", "--to", "1"}]
+
+
+def test_cli_product_budget_exits_2():
+    # a product of factors of several terms is estimated before it runs, as a
+    # power is: (x+y)^40*(x+y)^40 took seconds and y^2000*(x+y)^60 most of a
+    # minute, while the equal power (x+y)^80 was refused at once
+    for expr in ("(x+y)^40*(x+y)^40", "y^2000*(x+y)^40", "(1+y)^400*x^1000"):
+        for extra in ([], ["--json"]):
+            result = run_command(["norm", expr, "--N", "3", *extra])
+            assert result.status == 2, expr
+            assert result.text.startswith("precondition violated: the product of a "), expr
+            assert result.text.endswith(", above the product budget of 1000000"), expr
+            assert result.payload == {"error": result.text.removeprefix("precondition violated: ")}
+    assert run_command(["norm", "(x+y)^10*(x+y)^10", "--N", "3"]).text == \
+        run_command(["norm", "(x+y)^20", "--N", "3"]).text
+    # a product of two one-term factors is one word: it runs, and the output
+    # budget bounds what it prints
+    result = run_command(["norm", "y^3000*x^3000", "--N", "3", "--json"])
+    assert result.payload == {"error": "a coefficient has more than 4300 digits, above the output budget"}
+    aut = ["aut", "apply", "--N", "3", "--a", '{"lambda": "1/1", "f": []}']
+    assert run_command([*aut, "--expr", "(x+y)^40*(x+y)^40"]).status == 2
+    assert run_command([*aut, "--expr", "(x+y)^4*(x+y)^5"]).status == 0
+
+
+def test_cli_hh_n_budget_exits_2():
+    for argv in (["hh", "--N", "101", "--from", "0", "--to", "1"],
+                 ["hh", "--N", "1000000", "--from", "0", "--to", "2"],
+                 ["hh", "--N", "10000", "--twist-order", "3", "--from", "0", "--to", "1"]):
+        for extra in ([], ["--json"]):
+            result = run_command([*argv, *extra])
+            message = f"N = {argv[2]} is above the hh budget of 100"
+            assert (result.status, result.text) == (2, f"precondition violated: {message}"), argv
+            assert result.payload == {"error": message}
+    result = run_command(["hh", "--N", "100", "--from", "-1", "--to", "2", "--p", "1", "--json"])
+    assert result.status == 0 and result.payload["match"]

@@ -940,3 +940,108 @@ def test_records_construct_compare_and_print_field_by_field():
     assert repr(s).startswith("ComplexSlice(ctx=AlgebraCtx(N=3, field=Q), l=2, omega=None, ")
     report = veronese_relation_report(4, 3)
     assert report == VeroneseRelationReport(4, 3, 3, 6, 2, 1) and report.discrepancy
+
+
+def test_d1_columns_equal_the_relation_residual_of_each_basis_monomial():
+    # d1 is assembled from the words of relation_residual, phi(y) dx among
+    # them as one word; each column must equal relation_residual of its basis
+    # monomial, untwisted and over the formal twist, read in the field
+    f3, f5, q = CycloField(3), CycloField(5), CycloField(1)
+    checked = 0
+    for N in range(2, 7):
+        for field, omega in ((q, None), (f3, f3.zeta), (f5, f5.zeta), (q, Fraction(-2, 3))):
+            ctx = AlgebraCtx(N, False, field)
+            twist = None if omega is None else Automorphism.diagonal(ctx, omega)
+            zero = ctx.zero()
+            for l in range(-N - 1, 16):
+                sl = build_slice(ctx, l, omega)
+                inputs = [(ctx.monomial(*m), zero) for m in sl.basis1x]
+                inputs += [(zero, ctx.monomial(*m)) for m in sl.basis1y]
+                for col, (dx, dy) in enumerate(inputs):
+                    column = {sl.basis2[r]: row[col] for r, row in enumerate(sl.d1) if col in row}
+                    assert column == relation_residual(dx, dy, twist).terms, (N, omega, l, col)
+                    checked += 1
+    assert checked > 3000
+
+
+def test_a_fault_in_one_d1_word_fails_the_check(monkeypatch):
+    # one weight off by one in the first d1 word (phi(y) dx in the column of
+    # x^{l+1}, a column that d0 reaches once l >= N - 1) must trip the
+    # d1 . d0 check, untwisted and over the formal twist
+    from xnalg import cohomology
+
+    real = cohomology.add_word
+    words = []
+
+    def faulty(out, c, a, s, b, r, k):
+        real(out, c, a, s, b, r, k)
+        if not words:
+            out[(a + b, s + r)] += 1
+        words.append((a, s, b, r))
+
+    f3 = CycloField(3)
+    for ctx, omega in ((AlgebraCtx(3), None), (AlgebraCtx(4), None),
+                       (AlgebraCtx(3, False, f3), f3.zeta), (AlgebraCtx(2), Fraction(-2, 3))):
+        for l in (ctx.N - 1, 6):
+            sl = build_slice(ctx, l, omega)
+            assert sl.rows0[0], (ctx, l)  # d0 reaches the faulted column
+            words.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(cohomology, "add_word", faulty)
+                with pytest.raises(AssertionError,
+                                   match="the slice differentials do not compose to zero"):
+                    build_slice(ctx, l, omega)
+            assert words[0] == (0, 1, l + 1, 0)
+
+
+def test_plain_slices_rank_their_integer_rows_and_read_fractions_once(monkeypatch):
+    # an untwisted slice over Q keeps its checked integer rows for the rank;
+    # d0 and d1 are built from them on first read, as reduced Fractions equal
+    # to the product-chain rows, and kept; dims() builds no Fraction
+    from xnalg import cohomology
+    from xnalg.cohomology import expected_hh_dim
+
+    built = []
+
+    class Spy(Fraction):
+        def __new__(cls, *args):
+            built.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr(cohomology, "Fraction", Spy)
+    for N in (2, 3, 5):
+        ctx = AlgebraCtx(N)
+        for l in (-N, 0, 4, 3 * N + 1):
+            sl = build_slice(ctx, l)
+            dims = sl.dims()
+            assert built == [], (N, l)
+            for row in (*sl.rows0, *sl.rows1):
+                assert all(type(c) is int for c in row.values())
+            d0, d1 = sl.d0, sl.d1
+            assert len(built) == sum(map(len, (*d0, *d1))), (N, l)  # one per entry
+            assert (d0, d1) == _reference_slice(ctx, l, None), (N, l)
+            assert (d0, d1) == (sl.rows0, sl.rows1)
+            for row in (*d0, *d1):
+                assert all(type(c) is Fraction and c.denominator == 1 for c in row.values())
+            built.clear()
+            assert sl.d0 is d0 and sl.d1 is d1 and built == []
+            assert sl.dims() == dims
+            assert dims == tuple(expected_hh_dim(N, p, l, None) for p in (0, 1, 2))
+    # twisted slices and slices over Q(zeta_n) keep field rows, ranked as read
+    f3 = CycloField(3)
+    for ctx, omega in ((AlgebraCtx(3, False, f3), None), (AlgebraCtx(3, False, f3), f3.zeta),
+                       (AlgebraCtx(3), Fraction(-2, 3))):
+        sl = build_slice(ctx, 4, omega)
+        assert sl.rows0 is sl.d0 and sl.rows1 is sl.d1
+
+
+def test_hh_n_budget_refuses_before_any_slice(monkeypatch):
+    from xnalg import cohomology
+
+    monkeypatch.setattr(cohomology, "build_slice", lambda *args: pytest.fail("a slice was built"))
+    f3 = CycloField(3)
+    for ctx, omega in ((AlgebraCtx(101), None), (AlgebraCtx(10**6), None),
+                       (AlgebraCtx(10**4, False, f3), f3.zeta)):
+        with pytest.raises(ValueError, match=rf"^N = {ctx.N} is above the hh budget of 100$"):
+            hh_profile(ctx, 0, 1, omega)
+    assert cohomology.MAX_HH_N == 100

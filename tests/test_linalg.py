@@ -3,6 +3,7 @@
 pivoting `solve`, vector for vector, over Q, Q(zeta_3), Q(zeta_4) and
 Q(zeta_5)."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -134,3 +135,56 @@ def test_pivot_rows_stay_unscaled(monkeypatch):
     shared = [{0: z + 2, 1: z}, {2: z + 3, 0: z, 1: field.one}]
     assert linalg.rank(shared, 3) == 2
     assert calls == [z + 2]
+
+
+def test_integer_rank_matches_the_fraction_rank_and_the_oracle():
+    # rows of Python ints take the fraction-free elimination: entries up to
+    # 2^200, rows with a common content, dependent rows and shuffled storage;
+    # its rank must equal the rank of the same rows as Fractions and the dense
+    # oracle's, and the input rows stay as they were
+    rng = random.Random(29)
+    deficient = 0
+    for trial in range(200):
+        nrows, ncols = rng.randint(0, 8), rng.randint(0, 8)
+        bound = 2 ** rng.choice((3, 40, 200))
+        rows = [{c: rng.randint(-bound, bound) for c in range(ncols) if rng.random() < 0.5}
+                for _ in range(nrows)]
+        for r in range(nrows):
+            if rng.random() < 0.3:
+                content = rng.choice((2, 6, 3**50, -(2**100)))
+                rows[r] = {c: content * v for c, v in rows[r].items()}
+        if nrows >= 3 and rng.random() < 0.5:
+            a, b = rng.randint(-bound, bound), rng.randint(1, bound)
+            rows[-1] = _combine(rows[:2], (a, b), 0)
+        rows = [{c: v for c, v in row.items() if v} for row in rows]
+        for row in rows:
+            keys = list(row)
+            rng.shuffle(keys)
+            row.update({c: row.pop(c) for c in keys})
+        before = [dict(row) for row in rows]
+        fractions = [{c: Fraction(v) for c, v in row.items()} for row in rows]
+        got = linalg.rank(rows, ncols)
+        assert rows == before
+        # no int reaches a true division: every pivot and pivot row stays int
+        pivots, rest = linalg._eliminate(rows, ncols, integral=True)
+        assert len(pivots) == got and rest == []
+        assert all(type(v) is int for _, p, row in pivots for v in (p, *row.values()))
+        assert got == linalg.rank(fractions, ncols) == column_rank(dense(fractions, ncols, Fraction(0)), ncols)
+        deficient += got < min(nrows, ncols)
+    assert deficient >= 30
+
+
+
+def test_integer_rank_keeps_entries_within_hadamards_bound():
+    # after k pivots a row is proportional to the (k+1)-minors of its input
+    # row and the k pivot rows, so once its content is divided out no entry
+    # exceeds Hadamard's bound, the product of the input rows' norms;
+    # cross-multiplying alone about doubles the entries' size at every step
+    rng = random.Random(30)
+    for n in (6, 12):
+        rows = [{c: rng.randint(-9, 9) for c in range(n)} for _ in range(n)]
+        rows = [{c: v for c, v in row.items() if v} for row in rows]
+        bound = math.prod(math.isqrt(sum(v * v for v in row.values())) + 1 for row in rows)
+        pivots, _ = linalg._eliminate(rows, n, integral=True)
+        assert len(pivots) == column_rank(dense(rows, n, Fraction(0)), n)
+        assert max(abs(v) for _, p, row in pivots for v in (p, *row.values())) <= bound

@@ -500,3 +500,31 @@ def test_power_budget_refuses_before_any_product(monkeypatch):
             power(base, k)
     assert products == []
     assert ncalg._power_cost(ctx.x() + ctx.y(), 60) <= ncalg.MAX_POWER_COST
+
+
+def test_product_cost_covers_the_words_and_refuses_before_the_product(monkeypatch):
+    # x^i1 y^j1 * x^i2 y^j2 rewrites y^j1 x^i2 into up to j1 + 1 words (one
+    # when i2 = 0); the estimate is at least the words of the product
+    rng = random.Random(29)
+    contexts = [AlgebraCtx(n) for n in range(5)] + [AlgebraCtx(3, True), AlgebraCtx(2, False, CycloField(3))]
+    for ctx in contexts:
+        low = -2 if ctx.localized else 0
+        for _ in range(12):
+            a, b = (sum((ctx.monomial(rng.randint(low, 4), rng.randint(0, 3), rng.choice([1, -2, Fraction(5, 3)]))
+                         for _ in range(rng.randint(1, 4))), ctx.zero()) for _ in range(2))
+            if not a or not b:
+                continue
+            words = sum(j1 + 1 if i2 else 1 for (_, j1) in a.terms for (i2, _) in b.terms)
+            assert ncalg._product_cost(a, b) >= words, (ctx, a, b)
+            assert ncalg.product(a, b) == normalize_product(a, b)
+    ctx = AlgebraCtx(3)
+    big = power(ctx.x() + ctx.y(), 40)
+    products, real = [], ncalg.normalize_product
+    monkeypatch.setattr(ncalg, "normalize_product", lambda a, b: products.append(1) or real(a, b))
+    for a, b in ((big, big), (ctx.y(2000), big)):
+        with pytest.raises(ValueError, match=r"above the product budget of 1000000$"):
+            ncalg.product(a, b)
+    # zero and a single word are exempt
+    assert ncalg.product(ctx.zero(), big) == ctx.zero()
+    assert ncalg.product(ctx.y(3), ctx.x(2)) == ctx.y(3) * ctx.x(2)
+    assert len(products) == 3

@@ -33,7 +33,7 @@ from .maps import (
 )
 from .ncalg import AlgebraCtx, Element, add_word, basis_of_degree, check_phi_index, commutator
 from .scalars import CycloField, CycloScalar, numerators, scalar_to_json
-from .sequences import gaussian_binomial
+from .sequences import q_pascal_row
 
 
 def _matrix(columns, bases):
@@ -54,31 +54,46 @@ def _matrix(columns, bases):
     return rows
 
 
-def _inner_decomposition(target, reps, candidates, twist=None):
-    """Write the derivation `target` as sum_k c_k reps[k] + ad_phi(u, twist)
-    with u spanned by the monomials `candidates`, free coordinates pinned to
-    zero.  Returns (coefficients c_k, witness u), or None when `target` is
-    outside the span.  The witness is re-applied to the residual before it is
-    returned."""
-    ctx = target.ctx
+def _span(ctx, reps, candidates, twist=None):
+    """The span of the derivations `reps` and of ad_phi(m, twist) over the
+    monomials `candidates`, in that column order: its coefficient rows, keyed
+    by (image, monomial) with image 0 for dx and 1 for dy, factored once for
+    every right-hand side `_decompose` brings."""
     columns = [(rep.dx.terms, rep.dy.terms) for rep in reps]
     for mono in candidates:
         w = ad_phi(ctx.monomial(*mono), twist)
         columns.append((w.dx.terms, w.dy.terms))
-    goal = (target.dx.terms, target.dy.terms)
-    bases = [sorted({key for tables in (goal, *columns) for key in tables[b]}) for b in range(2)]
-    rows = _matrix([*columns, goal], bases)
-    rhs = [row.pop(len(columns), ctx.field.zero) for row in rows]
-    sol = linalg.solve(rows, rhs, len(columns), ctx.field)
+    bases = [sorted({key for tables in columns for key in tables[b]}) for b in range(2)]
+    row_of = {key: r for r, key in enumerate((b, key) for b in range(2) for key in bases[b])}
+    factored = linalg.factor(_matrix(columns, bases), len(columns))
+    return SimpleNamespace(ctx=ctx, reps=reps, candidates=candidates, twist=twist,
+                           row_of=row_of, factored=factored)
+
+
+def _decompose(span, target):
+    """Write the derivation `target` as sum_k c_k reps[k] + ad_phi(u, twist)
+    in the span, u spanned by its candidates, free coordinates pinned to
+    zero.  Returns (coefficients c_k, witness u), or None when `target` is
+    outside the span (also when it has a term on no row of the span).  The
+    witness is re-applied to the residual before it is returned."""
+    ctx, reps = span.ctx, span.reps
+    rhs = [ctx.field.zero] * len(span.factored)
+    for b, table in enumerate((target.dx.terms, target.dy.terms)):
+        for key, c in table.items():
+            r = span.row_of.get((b, key))
+            if r is None:
+                return None
+            rhs[r] = c
+    sol = linalg.solve(span.factored, rhs, len(reps) + len(span.candidates), ctx.field)
     if sol is None:
         return None
     coeffs = sol[: len(reps)]
-    witness = Element(ctx, {mono: c for mono, c in zip(candidates, sol[len(reps) :]) if c})
+    witness = Element(ctx, {mono: c for mono, c in zip(span.candidates, sol[len(reps) :]) if c})
     residual_dx, residual_dy = target.dx, target.dy
     for c, rep in zip(coeffs, reps):
         residual_dx = residual_dx - c * rep.dx
         residual_dy = residual_dy - c * rep.dy
-    check = ad_phi(witness, twist)
+    check = ad_phi(witness, span.twist)
     if check.dx != residual_dx or check.dy != residual_dy:
         raise AssertionError("inner witness fails to reproduce the derivation")
     return coeffs, witness
@@ -339,6 +354,28 @@ MAX_HH_WIDTH = 128
 # about a second at N = 100 on the host above (0.65 s at N = 64, 1.6 s at
 # N = 128); untwisted, the same window takes 0.01 s there.
 MAX_HH_N = 100
+# Budget of a twisted hh_profile window over Q(zeta_n), in the units of
+# `_twisted_cost` (about 5 ns each on the host above).  Its edge is N = 2 over
+# Q(zeta_5) on [-63..64], about 2.4 s; at order 97, [-63..64] took 164 s at
+# N = 2 and about 22 s at N = 100, and [-1..24] 36 s at N = 2.
+MAX_TWISTED_HH_COST = 500_000_000
+
+
+def _twisted_cost(N: int, degree: int, lo: int, hi: int) -> int:
+    """An estimate of the work of a twisted window over a field of the given
+    degree d (euler_phi(n)).  A slice with b monomials in its middle basis
+    ranks in about b^3 products of about 4 + 2d steps each and about b
+    inverses of about 7 d^3 steps (a product costs d^2 and an inverse d^3
+    integer steps, plus a constant), and its d1 columns carry N words each
+    with t^s of about s times the width bits, about 4 N^2 b steps per field
+    step."""
+    count = lambda e: e // (N - 1) + 1 if e >= 0 else 0  # monomials of degree e
+    field = 4 + 2 * degree
+    total = 0
+    for l in range(lo, hi + 1):
+        b = count(l + 1) + count(l + N - 1)
+        total += field * (b**3 + 4 * N * N * b) + 7 * degree**3 * b
+    return total
 
 
 def _check_window(lo: int, hi: int):
@@ -358,6 +395,15 @@ def hh_profile(ctx: AlgebraCtx, lo: int, hi: int, omega=None):
     _check_window(lo, hi)
     if ctx.N > MAX_HH_N:
         raise ValueError(f"N = {ctx.N} is above the hh budget of {MAX_HH_N}")
+    if ctx.N < 2:
+        raise ValueError("degreewise cohomology needs N >= 2")
+    if omega is not None and ctx.coerce(omega) != ctx.field.one:
+        cost = _twisted_cost(ctx.N, ctx.field.degree, lo, hi)
+        if cost > MAX_TWISTED_HH_COST:
+            raise ValueError(
+                f"the twisted window [{lo}..{hi}] over {ctx.field!r} has an estimated cost of "
+                f"{cost}, above the twisted hh budget of {MAX_TWISTED_HH_COST}"
+            )
     rows = {0: [], 1: [], 2: []}
     euler = []
     for l in range(lo, hi + 1):
@@ -418,11 +464,12 @@ def is_inner(d: GenDerivation, i_min=None):
     l = d.degree()
     if l is None:
         return ctx.zero()
-    found = _inner_decomposition(d, [], basis_of_degree(ctx, l, i_min), d.twist)
+    found = _decompose(_span(ctx, [], basis_of_degree(ctx, l, i_min), d.twist), d)
     return None if found is None else found[1]
 
 
 MAX_STANDARD_DERIVATIONS = 512  # kept per (context, slot) by the bracket tables
+MAX_BRACKET_SPANS = 128  # kept per (context, target degree) by the bracket tables
 
 
 @lru_cache(maxsize=MAX_STANDARD_DERIVATIONS)
@@ -433,6 +480,20 @@ def standard_derivation(ctx: AlgebraCtx, k: int) -> GenDerivation:
     d = grading_derivation(ctx) if k == 0 else partial_l(ctx, k)
     d.well_defined()  # memoized: every later use reads this one check
     return d
+
+
+@lru_cache(maxsize=MAX_BRACKET_SPANS)
+def _bracket_span(ctx: AlgebraCtx, n: int):
+    """The span the bracket tables reduce a degree-n bracket in: the slot-n
+    representative (and partial_0 at n = 0, where the grading derivation is
+    the representative) while n >= -N+1, and the inner derivations of the
+    degree-n monomials while n >= 0; factored once, then shared."""
+    reps = []
+    if n >= -ctx.N + 1:
+        reps.append(standard_derivation(ctx, n))
+        if n == 0:
+            reps.append(partial_l(ctx, 0))
+    return _span(ctx, reps, basis_of_degree(ctx, n) if n >= 0 else [])
 
 
 def _check_slot(N: int, l: int):
@@ -535,13 +596,7 @@ def bracket_table(ctx: AlgebraCtx, l: int, m: int) -> BracketResult:
     _check_slot(N, max(l, m, l + m))
     b = standard_derivation(ctx, l).bracket(standard_derivation(ctx, m))
     n = l + m
-
-    reps = []
-    if n >= -N + 1:
-        reps.append(standard_derivation(ctx, n))
-        if n == 0:
-            reps.append(partial_l(ctx, 0))
-    found = _inner_decomposition(b, reps, basis_of_degree(ctx, n) if n >= 0 else [])
+    found = _decompose(_bracket_span(ctx, n), b)
 
     expected = expected_partial_bracket(N, l, m)
     l_expected = expected_l_bracket(N, l, m)
@@ -631,10 +686,8 @@ def taft_obstruction(N: int, n: int, max_degree: int = 6) -> TaftReport:
     loc = ctx.localize()
     twist = Automorphism.diagonal(ctx, omega)
     lam = 1 / omega
-    vanishing = all(
-        gaussian_binomial(n, i, at=omega) == 0 and gaussian_binomial(n, i, at=lam) == 0
-        for i in range(1, n)
-    )
+    # the inner q-binomials binom(n, i), 0 < i < n, at omega and at lam
+    vanishing = not any(q_pascal_row(n, omega)[1:-1] + q_pascal_row(n, lam)[1:-1])
     d = restrict_to_algebra(ad_phi(loc.x(-1), twist))
     u_n = loc.x(-n)
 
@@ -782,9 +835,18 @@ def nil_chain_check(ctx: AlgebraCtx, r: int, s: int, lo: int, hi: int) -> NilRep
     tops = [max((k for k in window if rho(k) >= t), default=None) for t in (r, s)]
     _check_slot(N, hi if None in tops else max(hi, sum(tops)))
 
-    @cache
+    table = {}
+
     def coeff(a, b):
-        return bracket_table(ctx, a, b).l_computed
+        # [d_b, d_a] = -[d_a, d_b], so a pair read the other way round is
+        # negated, not computed again (None, outside the span, stays None)
+        if (a, b) not in table:
+            if (b, a) in table:
+                c = table[b, a]
+                table[a, b] = None if c is None else -c
+            else:
+                table[a, b] = bracket_table(ctx, a, b).l_computed
+        return table[a, b]
 
     violations = []
     for a in window:

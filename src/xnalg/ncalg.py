@@ -357,6 +357,12 @@ def commutator(a: Element, b: Element) -> Element:
 MAX_POWER_COST = 1_000_000
 # the coefficient size, in bits, at which a word costs about twice as much
 _POWER_COST_BITS = 1000
+# Budget of the rewrite weights of one word, in bits: y^s moved across x^b
+# makes weights (b)_{N-1,m} binom(s, m) of about s (log2 (b + s(N-1)) + 1)
+# bits (`_rewrite_bits`).  At N = 3 the product y^3000 x^3000 (45,000 bits)
+# takes 0.05 s, y^6200 x^6200 (99,200 bits) 0.2 s and y^20000 x^20000
+# (340,000 bits) 2.3 s (Python 3.11, shared 2-vCPU x86 host).
+MAX_WORD_BITS = 100_000
 
 
 def _coefficient_sizes(terms):
@@ -441,6 +447,12 @@ def power(a: Element, k: int) -> Element:
     return out
 
 
+def _rewrite_bits(s: int, x: int, k: int) -> int:
+    """A bound on the bits of the weights (b)_{k,m} binom(s, m) that moving y^s
+    across x^b makes, for |b| <= x."""
+    return s * ((x + s * abs(k) + 1).bit_length() + 1)
+
+
 def _product_cost(a: Element, b: Element) -> int:
     """An estimate of the work of the product a b, in the units of
     `_power_cost`: a term x^i y^j of a and a term of b make one word,
@@ -455,7 +467,7 @@ def _product_cost(a: Element, b: Element) -> int:
     words, rewrite_bits = len(a.terms), 0
     if s and any(xs):
         words = sum(j + 1 for _, j in a.terms)
-        rewrite_bits = s * ((max(xs) + s * abs(a.ctx.N - 1) + 1).bit_length() + 1)
+        rewrite_bits = _rewrite_bits(s, max(xs), a.ctx.N - 1)
     size = min(len(a.terms), len(b.terms))
     bits = height_a + height_b + (size - 1).bit_length() + rewrite_bits
     return _cost(words * len(b.terms), max(scale_a, scale_b), bits)
@@ -464,15 +476,26 @@ def _product_cost(a: Element, b: Element) -> int:
 def product(a: Element, b: Element) -> Element:
     """a * b, refused before any word when its estimated cost
     (`_product_cost`) passes `MAX_POWER_COST`.  A product with zero or a
-    scalar makes at most one unrewritten word per term of the other factor,
-    and one of two one-term factors is one word; these are exempt."""
-    scalar = a.terms.keys() <= {(0, 0)} or b.terms.keys() <= {(0, 0)}
-    if not scalar and len(a.terms) * len(b.terms) > 1:
+    scalar makes at most one unrewritten word per term of the other factor;
+    it is exempt.  A product of two one-term factors is one word, refused
+    when its rewrite weights (`_rewrite_bits`) pass `MAX_WORD_BITS`; with no
+    y on the left or no x on the right nothing is rewritten."""
+    if a.terms.keys() <= {(0, 0)} or b.terms.keys() <= {(0, 0)}:
+        return a * b
+    if len(a.terms) * len(b.terms) > 1:
         cost = _product_cost(a, b)
         if cost > MAX_POWER_COST:
             raise ValueError(
                 f"the product of a {len(a.terms)}-term and a {len(b.terms)}-term element has an "
                 f"estimated cost of {cost}, above the product budget of {MAX_POWER_COST}"
+            )
+    else:
+        ((_, s),), ((x, _),) = a.terms, b.terms
+        bits = _rewrite_bits(s, abs(x), a.ctx.N - 1) if s and x else 0
+        if bits > MAX_WORD_BITS:
+            raise ValueError(
+                f"the word product has rewrite weights of about {bits} bits, above the word "
+                f"budget of {MAX_WORD_BITS}"
             )
     return a * b
 

@@ -14,7 +14,7 @@ import math
 import threading
 from fractions import Fraction
 
-from .scalars import QPoly
+from .scalars import CycloScalar, QPoly
 
 _lock = threading.Lock()
 _bernoulli: list[Fraction] = [Fraction(1)]
@@ -143,28 +143,32 @@ def laguerre_poly(j: int, alpha) -> QPoly:
     return QPoly(coeffs)
 
 
-def gaussian_binomial(k: int, i: int, at=None):
-    """The Gaussian binomial binom(k, i)_q.
-
-    With ``at=None`` the result is the polynomial in Q[q]; otherwise it is the
-    exact value at the given scalar.  Either way the computation runs the
-    q-Pascal recurrence binom(k,i) = binom(k-1,i) + q^{k-i} binom(k-1,i-1),
-    which stays well defined at roots of unity where q-factorials vanish.
-    """
-    if k < 0 or i < 0 or i > k:
-        raise ValueError("gaussian_binomial wants 0 <= i <= k")
+def q_pascal_row(k: int, at=None) -> list:
+    """The Gaussian binomials binom(k, 0)_q .. binom(k, k)_q, by the q-Pascal
+    recurrence binom(n,m) = binom(n-1,m) + q^{n-m} binom(n-1,m-1), which stays
+    well defined at roots of unity where q-factorials vanish.  With
+    ``at=None`` the entries are polynomials in Q[q]; otherwise they are exact
+    values at the scalar ``at`` (an int, a Fraction or a CycloScalar), whose
+    powers are built once, by one product each."""
+    if k < 0:
+        raise ValueError("q_pascal_row wants k >= 0")
     if at is None:
-        q = QPoly.gen()
-        one = QPoly.one()
+        q, one = QPoly.gen(), QPoly.one()
     else:
-        q = at
-        one = at ** 0
+        q, one = at, at.field.one if isinstance(at, CycloScalar) else type(at)(1)
+    powers = [one]
+    for _ in range(k):
+        powers.append(powers[-1] * q)
     row = [one]
     for n in range(1, k + 1):
-        prev = row
-        row = [one]
-        for m in range(1, n):
-            row.append(prev[m] + (q ** (n - m)) * prev[m - 1])
-        row.append(one)
-    return row[i]
+        row = [one, *(row[m] + powers[n - m] * row[m - 1] for m in range(1, n)), one]
+    return row
 
+
+def gaussian_binomial(k: int, i: int, at=None):
+    """The Gaussian binomial binom(k, i)_q: the polynomial in Q[q] with
+    ``at=None``, otherwise its exact value at the given scalar (see
+    `q_pascal_row`)."""
+    if k < 0 or i < 0 or i > k:
+        raise ValueError("gaussian_binomial wants 0 <= i <= k")
+    return q_pascal_row(k, at)[i]

@@ -1067,3 +1067,55 @@ def test_cli_hh_n_budget_exits_2():
             assert result.payload == {"error": message}
     result = run_command(["hh", "--N", "100", "--from", "-1", "--to", "2", "--p", "1", "--json"])
     assert result.status == 0 and result.payload["match"]
+
+
+def test_cli_twisted_hh_cost_budget_exits_2(monkeypatch):
+    # a twisted window is estimated, at a cost per step that grows with the
+    # field degree, before any slice: at order 97 the window [-63..64] took
+    # 164 s at N = 2, and [-1..24] 36 s
+    built = []
+    monkeypatch.setattr(cohomology, "build_slice", lambda *args: built.append(args))
+    for lo, hi, cost in ((-63, 64, 35065186464), (-1, 24, 4542973344)):
+        argv = ["hh", "--N", "2", "--twist-order", "97", "--from", str(lo), "--to", str(hi)]
+        message = (f"the twisted window [{lo}..{hi}] over Q(zeta_97) has an estimated cost of "
+                   f"{cost}, above the twisted hh budget of {cohomology.MAX_TWISTED_HH_COST}")
+        for extra in ([], ["--json"]):
+            result = run_command([*argv, *extra])
+            assert (result.status, result.text) == (2, f"precondition violated: {message}"), argv
+            assert result.payload == {"error": message}
+    assert built == []
+    # the widest windows over Q(zeta_5) stay inside, at N = 2 and N = 100, and
+    # so do the benchmark's twisted windows (N <= 6, width <= 4, top <= 16,
+    # euler_phi(n) <= 4); a window of the plain complex has no such estimate
+    budget = cohomology.MAX_TWISTED_HH_COST
+    assert cohomology._twisted_cost(2, 4, -63, 64) <= budget
+    assert cohomology._twisted_cost(100, 4, -63, 64) <= budget
+    assert all(cohomology._twisted_cost(N, 4, 13, 16) <= budget for N in range(2, 7))
+    assert cohomology._twisted_cost(2, 6, -63, 64) > budget
+    monkeypatch.undo()
+    for N in ("1", "0"):  # the estimate counts monomials per N - 1, so N < 2 is refused first
+        result = run_command(["hh", "--N", N, "--twist-order", "3", "--from", "0", "--to", "1"])
+        assert result.text == "precondition violated: degreewise cohomology needs N >= 2"
+    result = run_command(["hh", "--N", "2", "--twist-order", "97", "--from", "0", "--to", "1",
+                          "--p", "1", "--json"])
+    assert result.status == 0 and result.payload["match"]
+
+
+def test_cli_word_budget_exits_2():
+    # one word y^s x^b rewrites into weights of about s (log2(b + s(N-1)) + 1)
+    # bits; y^40000*x^40000 took 9.4 s before the output budget refused it
+    message = "the word product has rewrite weights of about 720000 bits, above the word budget of 100000"
+    for extra in ([], ["--json"]):
+        result = run_command(["norm", "y^40000*x^40000", "--N", "3", *extra])
+        assert (result.status, result.text) == (2, f"precondition violated: {message}")
+    # words inside the budget run; these print past the output budget
+    for expr in ("y^3000*x^3000", "y^6200*x^6200"):
+        result = run_command(["norm", expr, "--N", "3"])
+        assert result.text.endswith("above the output budget"), expr
+    assert run_command(["norm", "x^40000*y^40000", "--N", "3"]).status == 0
+    # no x on the right (or no y on the left) rewrites nothing
+    for expr in ("y^7000*y", "x^3*y^7000*y", "x*x^7000"):
+        result = run_command(["norm", expr, "--N", "3"])
+        assert result.status == 0, expr
+    assert run_command(["norm", "y^7000*y", "--N", "3"]).text == "y^7001"
+    assert run_command(["norm", "x^3*y^7000*y", "--N", "3"]).text == "x^3*y^7001"

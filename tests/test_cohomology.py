@@ -845,6 +845,141 @@ def test_cached_standard_derivations_survive_a_nil_window():
     assert info.maxsize == cohomology.MAX_STANDARD_DERIVATIONS
 
 
+def test_cached_bracket_spans_survive_a_nil_window():
+    # the bracket tables factor one span per (context, target degree) and
+    # share it; after a whole nil window each cached span is still the one it
+    # was, equal to a fresh build, so no right-hand side wrote into it
+    from xnalg import cohomology
+
+    ctx = AlgebraCtx(5)
+    lo, hi = -4, 12
+    degrees = range(2 * lo, 2 * hi + 1)
+    cached = {n: cohomology._bracket_span(ctx, n) for n in degrees}
+    nil_chain_check(ctx, 1, 1, lo, hi)
+    for n in degrees:
+        span = cohomology._bracket_span(ctx, n)
+        fresh = cohomology._bracket_span.__wrapped__(ctx, n)
+        assert span is cached[n]
+        assert (span.reps, span.candidates, span.row_of) == (fresh.reps, fresh.candidates, fresh.row_of)
+        mine, theirs = span.factored, fresh.factored
+        assert (mine.nrows, mine.pivots, mine.rest) == (theirs.nrows, theirs.pivots, theirs.rest)
+        # over Q every entry, pivot and multiple is a Fraction: no int / int
+        for _, p, row, _, multiples in mine.pivots:
+            assert all(type(v) is Fraction for v in (p, *row.values(), *(f for _, f in multiples)))
+    info = cohomology._bracket_span.cache_info()
+    assert info.maxsize == cohomology.MAX_BRACKET_SPANS
+
+
+def test_one_span_decomposes_many_targets_like_a_dense_solve():
+    # targets reduced against one factored span agree with the dense oracle
+    # solving a matrix assembled for each target over the keys of the target
+    # and the span together: combinations of the columns (in the span), the
+    # same plus one more term on a row of the span (mostly outside it), and
+    # a term on no row of the span (outside it)
+    from xnalg import cohomology
+
+    from oracles import solve
+
+    rng = random.Random(3131)
+    outside = inside = 0
+    for ctx, n in ((AlgebraCtx(3), 5), (AlgebraCtx(4), 0), (AlgebraCtx(5), -2),
+                   (AlgebraCtx(3, False, CycloField(3)), 4)):
+        span = cohomology._bracket_span(ctx, n)
+        zero = ctx.field.zero
+        columns = [(rep.dx, rep.dy) for rep in span.reps]
+        columns += [(w.dx, w.dy) for w in (ad_phi(ctx.monomial(*m)) for m in span.candidates)]
+        keys = sorted(span.row_of)
+        for trial in range(24):
+            weights = [ctx.coerce(rng.randint(-3, 3)) if rng.random() < 0.6 else zero
+                       for _ in columns]
+            dx = sum((w * c[0] for w, c in zip(weights, columns)), ctx.zero())
+            dy = sum((w * c[1] for w, c in zip(weights, columns)), ctx.zero())
+            extra = {}
+            if trial % 3 == 1:
+                extra[rng.choice(keys)] = ctx.coerce(rng.randint(1, 3))
+            elif trial % 3 == 2:
+                extra[(0, (n + 5, 0))] = ctx.field.one  # degree n + 4 in dx
+            for (b, key), c in extra.items():
+                image = Element(ctx, {key: c})
+                dx, dy = (dx + image, dy) if b == 0 else (dx, dy + image)
+            target = GenDerivation(ctx, dx, dy)
+            got = cohomology._decompose(span, target)
+            goal = [(0, key) for key in dx.terms] + [(1, key) for key in dy.terms]
+            rows = sorted(set(keys) | set(goal))
+            table = lambda pair, b, key: pair[b].terms.get(key, zero)
+            full = [[table(col, b, key) for col in columns] for b, key in rows]
+            rhs = [table((dx, dy), b, key) for b, key in rows]
+            expected = solve(full, rhs, len(columns), ctx.field)
+            if expected is None:
+                assert got is None
+                outside += 1
+                continue
+            coeffs, witness = got
+            nreps = len(span.reps)
+            assert coeffs == expected[:nreps]
+            assert witness == Element(ctx, dict(zip(span.candidates, expected[nreps:])))
+            inside += 1
+    assert inside >= 32 and outside >= 32
+
+
+def test_nil_reads_each_bracket_antisymmetrically():
+    # nil takes the coefficient of (b, a) as minus that of (a, b); on every
+    # pair it reads in the windows of the benchmark's nil requests (N = 3, 4,
+    # 5, slots from -N+1 up to 9, 8 and 8) the computed tables agree, and each
+    # unordered pair is computed once
+    from xnalg import cohomology
+
+    for N, top in {3: 9, 4: 8, 5: 8}.items():
+        ctx = AlgebraCtx(N)
+        window = [k for k in range(-N + 1, top + 1) if k % (N - 1) >= 1]
+        for a in window:
+            for b in window:
+                forward = bracket_table(ctx, a, b).l_computed
+                backward = bracket_table(ctx, b, a).l_computed
+                assert forward is not None and backward == -forward, (N, a, b)
+        seen = []
+        real = cohomology.bracket_table
+
+        def counted(ctx, l, m):
+            seen.append((l, m))
+            return real(ctx, l, m)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cohomology, "bracket_table", counted)
+            report = nil_chain_check(ctx, 1, 1, -N + 1, top)
+        assert report.containment_ok
+        assert len(set(seen)) == len(seen)
+        assert not {(b, a) for a, b in seen if a != b} & set(seen)
+
+
+def test_a_corrupted_cached_factorization_fails_the_witness_check():
+    # a cached span whose factorization went wrong gives a wrong solution,
+    # which re-applying the witness catches: AssertionError in the library,
+    # exit 3 on the command line
+    from xnalg import cohomology
+
+    ctx = AlgebraCtx(3)
+    argv = ["bracket", "--N", "3", "--l", "2", "--m", "3"]
+    result = run_command(argv)
+    assert result.status == 0 and result.payload["computed_coeff"] != "0/1"
+    pivots = cohomology._bracket_span(ctx, 5).factored.pivots
+    saved = list(pivots)
+    try:
+        # each pivot and the entries logged under it doubled: the replay on
+        # the right-hand side is unchanged, back substitution halves the
+        # solution, and the system still reads consistent
+        pivots[:] = [(col, 2 * p, row, r, [(i, 2 * f) for i, f in multiples])
+                     for col, p, row, r, multiples in saved]
+        with pytest.raises(AssertionError, match="inner witness"):
+            bracket_table(ctx, 2, 3)
+        result = run_command(argv)
+        assert result.status == 3
+        assert result.text.startswith("internal invariant breach: inner witness")
+    finally:
+        pivots[:] = saved
+    assert run_command(argv).status == 0
+
+
 def test_twisted_representatives_realize_dims():
     # the inner-from-the-localization family spans the twisted cohomology in
     # every degree of a window; for N = 3 the replacement family is used

@@ -188,3 +188,31 @@ def test_integer_rank_keeps_entries_within_hadamards_bound():
         pivots, _ = linalg._eliminate(rows, n, integral=True)
         assert len(pivots) == column_rank(dense(rows, n, Fraction(0)), n)
         assert max(abs(v) for _, p, row in pivots for v in (p, *row.values())) <= bound
+
+
+def test_one_factorization_serves_many_right_hand_sides():
+    # a matrix factored once answers each of many right-hand sides as the
+    # dense oracle and a fresh factorization do: consistent ones, inconsistent
+    # ones and zero; the rows and the factorization stay as they were
+    rng = random.Random(3030)
+    for field in FIELDS:
+        solved = unsolvable = 0
+        for _ in range(40):
+            rows, ncols = _system(rng, field)
+            before = [dict(row) for row in rows]
+            factored = linalg.factor(rows, ncols)
+            kept = [(col, p, dict(row), r, list(multiples))
+                    for col, p, row, r, multiples in factored.pivots], list(factored.rest)
+            assert len(factored) == len(rows) and rows == before
+            full = dense(rows, ncols, field.zero)
+            for k in range(8):
+                rhs = _rhs(rng, field, rows, ncols, k % 2 == 0) if k else [field.zero] * len(rows)
+                got = linalg.solve(factored, rhs, ncols, field)
+                assert got == solve(full, rhs, ncols, field)
+                assert got == linalg.solve(linalg.factor(rows, ncols), rhs, ncols, field)
+                if k % 2 == 0:
+                    assert got is not None
+                solved += got is not None
+                unsolvable += got is None
+            assert (factored.pivots, factored.rest) == kept
+        assert solved >= 160 and unsolvable >= 40, field

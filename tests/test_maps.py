@@ -409,6 +409,27 @@ def test_apply_against_product_chain():
     assert reused > 270
 
 
+def test_untwisted_apply_on_high_exponents_against_product_chain():
+    # untwisted, operands with x-exponents up to 40 and y-exponents up to 7,
+    # under standard derivations of high slots and d_g, plain and localized,
+    # over Q and Q(zeta_3), against the product chain
+    rng = random.Random(3232)
+    for trial in range(24):
+        field = CycloField((1, 3)[trial % 2])
+        N = rng.randint(2, 5)
+        ctx = AlgebraCtx(N, False, field)
+        if trial % 3:
+            d = partial_l(ctx, rng.randint(1, 12))
+        else:
+            d = d_g(ctx, [_random_scalar(rng, field) for _ in range(3)])
+        if trial % 4 == 3:
+            d = d.extend_localized()
+        lo = -6 if d.ctx.localized else 0
+        a = Element(d.ctx, {(rng.randint(lo, 40), rng.randint(0, 7)): _random_scalar(rng, field)
+                            for _ in range(4)})
+        assert d.apply(a) == product_chain_apply(d, a), (d, a)
+
+
 def test_ad_phi_against_product_chain():
     # over Q and Q(zeta_n), plain and localized, untwisted, diagonal and
     # diagonal-plus-shear twists, single monomials and sums, against the four

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from xnalg import sequences
-from xnalg.scalars import QPoly, cyclo_primitive_root
+from xnalg.scalars import CycloScalar, QPoly, cyclo_primitive_root
 from xnalg.sequences import (
     bernoulli,
     c_eval,
@@ -14,6 +14,7 @@ from xnalg.sequences import (
     gregory,
     laguerre_poly,
     pochhammer_k,
+    q_pascal_row,
 )
 
 from polys import MPoly, series_from_coeff_rule
@@ -211,6 +212,26 @@ def test_gaussian_binomial_counts_at_one():
     for k in range(8):
         for i in range(k + 1):
             assert gaussian_binomial(k, i, at=Fraction(1)) == math.comb(k, i)
+
+
+def test_q_pascal_row_is_the_row_of_gaussian_binomials():
+    # one row per scalar: entry i is binom(k, i)_q, as a polynomial and as a
+    # value, in the scalar's own ring (an int stays an int); at a primitive
+    # n-th root of unity the inner entries of row n vanish
+    for k in range(7):
+        row = q_pascal_row(k)
+        assert len(row) == k + 1 and row[0] == row[-1] == QPoly.one()
+        for i in range(k + 1):
+            assert row[i] == gaussian_binomial(k, i)
+            for at in (2, Fraction(-1, 3), cyclo_primitive_root(5)):
+                entry = q_pascal_row(k, at)[i]
+                assert entry == gaussian_binomial(k, i, at=at)
+                assert type(entry) is type(at)
+        assert q_pascal_row(k, 1) == [math.comb(k, i) for i in range(k + 1)]
+    for n in range(2, 9):
+        z = cyclo_primitive_root(n)
+        assert not any(q_pascal_row(n, z)[1:-1]) and not any(q_pascal_row(n, 1 / z)[1:-1])
+        assert all(type(c) is CycloScalar for c in q_pascal_row(n, z))
 
 
 def test_gaussian_binomial_rejects_bad_indices():

@@ -102,7 +102,7 @@ def _decompose(span, target):
 class _Record:
     """A plain record: its fields are its ``__slots__``, set positionally or
     by keyword; records of one class compare and print field by field.  A
-    slot named with a leading underscore is a cache, not a field."""
+    slot named with a leading underscore is private state, not a field."""
 
     __slots__ = ()
 
@@ -135,28 +135,32 @@ class _Record:
 
 class ComplexSlice(_Record):
     """The degree-l slice of the three-term complex.  `rows0` and `rows1`, the
-    checked matrices of d0 and d1 that `dims` ranks, are sparse rows from
-    `_matrix` (rows indexed by the codomain bases, columns by the domain
-    bases) of Python ints on an untwisted slice over Q, of field scalars
-    otherwise; `d0` and `d1` are them over the field, built on first read and
-    kept.  d0 sends a to ad_phi(a) = (a x - phi(x) a, a y - phi(y) a), the
-    negative of the other usual sign; image, kernel and ranks agree."""
+    checked matrices of d0 and d1, are sparse rows from `_matrix` (rows
+    indexed by the codomain bases, columns by the domain bases) of Python
+    ints, on a twisted slice values at t = 2**W of polynomials in a formal
+    twist t.  `d0` and `d1` are them read over the field by `_read`, zeros
+    dropped, on first read and kept.  `dims` ranks the integer rows, or the
+    field rows of a twisted slice.  d0 sends a to ad_phi(a) = (a x - phi(x) a,
+    a y - phi(y) a), the negative of the other usual sign."""
 
     __slots__ = ("ctx", "l", "omega", "basis0", "basis1x", "basis1y", "basis2", "rows0", "rows1",
-                 "_d0", "_d1")
+                 "_read", "_d0", "_d1")
 
     d0 = property(lambda self: self._over_field("_d0", self.rows0))
     d1 = property(lambda self: self._over_field("_d1", self.rows1))
 
     def _over_field(self, name, rows):
         if not hasattr(self, name):
-            setattr(self, name, [{col: Fraction(c) for col, c in row.items()} for row in rows])
+            read = self._read
+            setattr(self, name, [{j: s for j, c in r.items() if (s := read(c))} for r in rows])
         return getattr(self, name)
 
     def dims(self):
         """(dim HH^0, dim HH^1, dim HH^2) on this slice."""
-        rank0 = linalg.rank(self.rows0, len(self.basis0))
-        rank1 = linalg.rank(self.rows1, len(self.basis1x) + len(self.basis1y))
+        twisted = self.omega is not None and self.omega != self.ctx.field.one
+        rows0, rows1 = (self.d0, self.d1) if twisted else (self.rows0, self.rows1)
+        rank0 = linalg.rank(rows0, len(self.basis0))
+        rank1 = linalg.rank(rows1, len(self.basis1x) + len(self.basis1y))
         h0 = len(self.basis0) - rank0
         h1 = (len(self.basis1x) + len(self.basis1y)) - rank1 - rank0
         h2 = len(self.basis2) - rank1
@@ -167,16 +171,15 @@ def build_slice(ctx: AlgebraCtx, l: int, omega=None) -> ComplexSlice:
     """Assemble the degree-l slice; `omega` twists the bimodule by the
     diagonal automorphism x -> omega x, y -> omega^{N-1} y.
 
-    The rows are assembled from integer-unit monomials and every weight stays
-    a Python int: d0 from ad_phi, d1 from the words of relation_residual
-    added by add_word.  A twist enters only through lam^k and phi(y), as
-    powers of a formal t, so each twisted entry is an integer polynomial in t.
-    The composite d1 . d0 of those rows is checked to vanish (in Z[t] with a
-    twist, so for every twist scalar at once), and each d0 row that no d1 row
-    reads is compared with ad_phi.  An untwisted slice over Q keeps the
-    checked integer rows; on any other slice each nonzero becomes a field
-    scalar (its value at t = omega) after the checks, and one that vanishes
-    there is dropped.
+    Both differentials are added word by word by `add_word`, d0 from the
+    words of ad_phi and d1 from those of relation_residual, so every weight
+    stays a Python int.  A twist enters only through lam^k and phi(y), as
+    powers of a formal t, so a twisted entry is an integer polynomial in t,
+    kept as its value at t = 2**W.  The composite d1 . d0 of those rows is
+    checked to vanish (in Z[t] with a twist, for every twist scalar at once),
+    and each d0 row that no d1 row reads is compared with ad_phi.  The slice
+    keeps these rows and reads them over the field (as `Fraction`, by
+    `ctx.coerce`, or at t = omega) only when asked.
     """
     if ctx.N < 2:
         raise ValueError("degreewise cohomology needs N >= 2")
@@ -189,9 +192,10 @@ def build_slice(ctx: AlgebraCtx, l: int, omega=None) -> ComplexSlice:
     basis1x = basis_of_degree(ctx, l + 1)
     basis1y = basis_of_degree(ctx, l + k)
     basis2 = basis_of_degree(ctx, l + N)
-    twist = scalar = None
+    twisted, over_q = omega is not None and omega != ctx.field.one, ctx.field.order == 1
+    read = Fraction if over_q else ctx.coerce
     t = [1] * N  # lam^0 .. lam^{N-1}: ones untwisted, powers of a formal t twisted
-    if omega is not None and omega != ctx.field.one:
+    if twisted:
         # Width of the substitution.  Every word x^a y^s x^b y^r met here has
         # degree at most D = l + N, so b + sk <= D; moving one y across x^c
         # adds weight c (y x^c = x^c y + c x^{c+k}), hence the nonnegative
@@ -205,18 +209,12 @@ def build_slice(ctx: AlgebraCtx, l: int, omega=None) -> ComplexSlice:
         entry = (N + 2) * math.prod(range(l + N + 1 - k, 0, -k))
         width = ((len(basis1x) + len(basis1y)) * entry * entry).bit_length() + 1
         t, half = [1 << width * p for p in range(N)], 1 << width - 1
-        y_image = Element(ctx, {(0, 1): t[k]})
-        # x -> t x, y -> t^{N-1} y, as _twist_images and GenDerivation read a
-        # twist; `lam` is the scalar omega the slice is read at
-        twist = SimpleNamespace(ctx=ctx, lam=omega, lam_power=t.__getitem__,
-                                y_image=lambda: y_image, is_identity=lambda: False)
         # the coordinates of omega^0 .. omega^{N-1}, as integers over one den
-        over_q, dim = ctx.field.order == 1, ctx.field.degree
-        powers = [omega ** p for p in range(N)]
+        dim, powers = ctx.field.degree, [omega ** p for p in range(N)]
         nums, den = numerators([c for w in powers for c in ((w,) if over_q else w.coeffs)])
 
         @cache
-        def scalar(v):
+        def read(v):
             # the balanced base-2**width digits of v are its t-coefficients
             coords, p = [0] * dim, 0
             while v:
@@ -227,10 +225,13 @@ def build_slice(ctx: AlgebraCtx, l: int, omega=None) -> ComplexSlice:
             coords = [Fraction(a, den) for a in coords]
             return coords[0] if over_q else CycloScalar(ctx.field, coords)
 
-    d0_columns = []
-    for mono in basis0:
-        d = ad_phi(Element(ctx, {mono: 1}), twist)
-        d0_columns.append((d.dx.terms, d.dy.terms))
+    # ad_phi's words for u = x^i y^j: u x - lam x u and u y - phi(y) u, phi(y) = lam^k y
+    d0_columns = [({}, {}) for _ in basis0]
+    for (dx, dy), (i, j) in zip(d0_columns, basis0):
+        add_word(dx, 1, i, j, 1, 0, k)
+        add_word(dx, -t[1], 1, 0, i, j, k)
+        add_word(dy, 1, i, j, 0, 1, k)
+        add_word(dy, -t[k], 0, 1, i, j, k)
     d0 = _matrix(d0_columns, [basis1x, basis1y])
     # relation_residual's words; the twist is diagonal, so phi(y) dx = lam^k y dx
     d1_columns = [{} for _ in range(len(basis1x) + len(basis1y))]
@@ -244,9 +245,7 @@ def build_slice(ctx: AlgebraCtx, l: int, omega=None) -> ComplexSlice:
         add_word(col, -t[1], 1, 0, i, j, k)
     d1 = _matrix([(col,) for col in d1_columns], [basis2])
 
-    # d1 . d0 on the rows that are ranked (before any conversion to field
-    # scalars): row r of the product sums d1[r][mid] * d0[mid] over the
-    # nonzeros of d1 row r
+    # d1 . d0 on the integer rows: row r sums d1[r][mid] * d0[mid] over d1 row r
     for row in d1:
         total = {}
         for mid, v in row.items():
@@ -255,32 +254,31 @@ def build_slice(ctx: AlgebraCtx, l: int, omega=None) -> ComplexSlice:
                 total[col] = c * v if acc is None else acc + c * v
         if any(total.values()):
             raise AssertionError("the slice differentials do not compose to zero")
-    # a d0 row that no d1 row reads escapes that check; each is compared with
-    # the ad_phi images of the monomials x^i y^j of basis0 that reach it.  The
-    # terms of ad_phi(x^i y^j) have y-degree at most j in dx (x^i y^j x -
-    # lam x^{i+1} y^j) and j or j + 1 in dy (x^i y^{j+1} - phi(y) x^i y^j),
-    # so the dy row x^{l+N-1} needs ad_phi(x^l) alone
-    read = {mid for row in d1 for mid in row}
+    # a d0 row that no d1 row reads escapes that check.  A twisted slice has
+    # none: in Z[t] the t^k part of the d1 column of x^i y^j in basis1x holds
+    # x^i y^{j+1} with weight 1, and the t part of that of x^i y^j in basis1y
+    # is -x^{i+1} y^j.  Untwisted, each is compared with the ad_phi images of
+    # the x^i y^j of basis0 that reach it: y-degree at most j in dx (x^i y^j x
+    # - x^{i+1} y^j), j or j + 1 in dy (x^i y^{j+1} - y x^i y^j); so the dy
+    # row x^{l+N-1} needs ad_phi(x^l) alone
+    read_rows = {mid for row in d1 for mid in row}
     rows = [(m, True) for m in basis1x] + [(m, False) for m in basis1y]
     for r, (key, in_dx) in enumerate(rows):
-        if r in read:
+        if r in read_rows:
             continue
+        if twisted:
+            raise AssertionError("a d0 row of a twisted slice escapes the d1 . d0 check")
         expected = {}
         for col, mono in enumerate(basis0):
             if mono[1] >= key[1] if in_dx else key[1] - 1 <= mono[1] <= key[1]:
-                image = ad_phi(Element(ctx, {mono: 1}), twist)
+                image = ad_phi(Element(ctx, {mono: 1}))
                 c = (image.dx if in_dx else image.dy).terms.get(key)
                 if c:
                     expected[col] = c
         if d0[r] != expected:
             raise AssertionError("a d0 row disagrees with ad_phi")
-    if scalar is None and ctx.field.order == 1:
-        return ComplexSlice(ctx, l, omega, basis0, basis1x, basis1y, basis2, d0, d1)
-    scalar = scalar or ctx.coerce
-    d0 = [{col: s for col, c in row.items() if (s := scalar(c))} for row in d0]
-    d1 = [{col: s for col, c in row.items() if (s := scalar(c))} for row in d1]
     out = ComplexSlice(ctx, l, omega, basis0, basis1x, basis1y, basis2, d0, d1)
-    out._d0, out._d1 = d0, d1
+    out._read = read
     return out
 
 
@@ -663,11 +661,24 @@ class TaftReport(_Record):
         }
 
 
+# Budgets of taft_obstruction, refused before any field or context is built.
+# Its work grows with the monomials of degree <= max_degree, each taken n
+# times through d, and with the twist order n (a q-Pascal row and d's scalars
+# over Q(zeta_n)), which n | N - 1 bounds by N - 1.  The costliest accepted
+# call, N = 24 with the prime n = 23 and max_degree 32, takes 0.9 s, and
+# N = 3, n = 2, max_degree 32 takes 0.5 s (Python 3.11, shared 2-vCPU x86
+# host).  Past them, N = 3 with max_degree 80 took 23-26 s there, N = 62 with
+# n = 61 1.8-3.4 s and N = 100001 with n = 2 8-14 s, both at max_degree 2.
+MAX_TAFT_DEGREE = 32
+MAX_TAFT_N = 24
+
+
 def taft_obstruction(N: int, n: int, max_degree: int = 6) -> TaftReport:
     """For the default candidate u = x^{-1} with diagonal twist of primitive
     order n (requires n | N-1): verify the q-binomial collapse
     d^n = [u^n, -] on all monomials of degree <= max_degree and exhibit a
-    monomial on which the power does not vanish.
+    monomial on which the power does not vanish.  N and max_degree must lie
+    within the budgets MAX_TAFT_N and MAX_TAFT_DEGREE.
 
     The collapse follows from the expansion of d^k over q-binomials, whose
     inner coefficients vanish at primitive n-th roots of unity; only the i = 0
@@ -680,6 +691,10 @@ def taft_obstruction(N: int, n: int, max_degree: int = 6) -> TaftReport:
         raise ValueError("the default candidate needs n to divide N-1")
     if max_degree < 0:
         raise ValueError("the collapse check needs max_degree >= 0")
+    if N > MAX_TAFT_N:
+        raise ValueError(f"N = {N} is above the taft budget of {MAX_TAFT_N}")
+    if max_degree > MAX_TAFT_DEGREE:
+        raise ValueError(f"max_degree {max_degree} is above the taft budget of {MAX_TAFT_DEGREE}")
     fld = CycloField(n)
     omega = fld.zeta
     ctx = AlgebraCtx(N, False, fld)

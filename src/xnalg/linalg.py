@@ -1,23 +1,23 @@
 """Exact sparse linear algebra over the scalar field.
 
 A matrix is a list of rows, each a dict {column: scalar} of the nonzero
-entries.  One forward elimination serves `rank`, `factor` and `solve`.  It
-takes pivot columns left to right, which are the pivot columns of the dense
-reduced row echelon form, and in each pivots on the shortest row nonzero there
+entries.  One forward elimination serves `rank` and `factor`.  It takes pivot
+columns left to right, which are the pivot columns of the dense reduced row
+echelon form, and in each pivots on the shortest row nonzero there
 (Markowitz's rule), which keeps fill-in low.  So the solution with free
 variables set to zero is the vector a dense elimination gives, whichever rows
 the pivots sit in.  Pivot rows stay unscaled; `solve` divides by each pivot
-once as it replays the elimination and once in back substitution.  Every division is exact in every supported field:
-no tolerance enters.  `rank` of rows of Python ints eliminates fraction-free
-instead (Bareiss, Math. Comp. 22, 1968), dividing out the content of each
-updated row.
+once as it replays the elimination and once in back substitution.  Every
+division is exact in every supported field: no tolerance enters.  `rank` of
+rows of Python ints eliminates fraction-free instead (Bareiss, Math. Comp. 22,
+1968), dividing out the content of each updated row.
 
 `factor` eliminates a matrix once and records, for each pivot, the entries
 under it in the other rows, whose multiples of the pivot row the elimination
-subtracted.  `solve` then
-takes any number of right-hand sides against it: it replays those row
-operations on the right-hand side alone and back-substitutes, so a matrix
-shared by many systems is eliminated once.
+subtracted.  `solve` takes only such a `Factored` matrix, and any number of
+right-hand sides against it: it replays those row operations on the
+right-hand side alone and back-substitutes, so a matrix shared by many
+systems is eliminated once.
 """
 
 from __future__ import annotations
@@ -104,10 +104,8 @@ def factor(rows, ncols) -> Factored:
 
 def solve(rows, rhs, ncols, field):
     """A particular solution of rows * x = rhs with free variables set to
-    zero, or None when the system is inconsistent.  `rows` is a `Factored`
-    matrix or plain rows, which are factored first."""
-    if not isinstance(rows, Factored):
-        rows = factor(rows, ncols)
+    zero, or None when the system is inconsistent, for the `Factored` matrix
+    `rows`."""
     b = list(rhs)
     for _, p, _, source, multiples in rows.pivots:
         v = b[source]

@@ -1119,3 +1119,31 @@ def test_cli_word_budget_exits_2():
         assert result.status == 0, expr
     assert run_command(["norm", "y^7000*y", "--N", "3"]).text == "y^7001"
     assert run_command(["norm", "x^3*y^7000*y", "--N", "3"]).text == "x^3*y^7001"
+
+
+def test_cli_taft_budget_exits_2(monkeypatch):
+    # taft refuses N and --max-degree past their budgets before any field or
+    # context is built: --max-degree 80 took 23-26 s at N = 3, and
+    # N = 100001 took 8-14 s at --max-degree 2
+    built = []
+    monkeypatch.setattr(cohomology, "CycloField", lambda n: built.append(n))
+    monkeypatch.setattr(cohomology, "AlgebraCtx", lambda *args: built.append(args))
+    cases = ((["--N", "100001", "--n", "2", "--max-degree", "2"], "N = 100001 is above"),
+             (["--N", "25", "--n", "3"], "N = 25 is above"),
+             (["--N", "3", "--n", "2", "--max-degree", "33"], "max_degree 33 is above"),
+             (["--N", "3", "--n", "2", "--max-degree", "80"], "max_degree 80 is above"))
+    for argv, start in cases:
+        budget = 24 if start[0] == "N" else 32
+        message = f"{start} the taft budget of {budget}"
+        for extra in ([], ["--json"]):
+            result = run_command(["taft", *argv, *extra])
+            assert (result.status, result.text) == (2, f"precondition violated: {message}"), argv
+            assert result.payload == {"error": message}
+    assert built == []
+    assert (cohomology.MAX_TAFT_N, cohomology.MAX_TAFT_DEGREE) == (24, 32)
+    monkeypatch.undo()
+    # the edges run, and so does the benchmark's largest request
+    for argv in (["--N", "24", "--n", "23", "--max-degree", "2"],
+                 ["--N", "3", "--n", "2", "--max-degree", "32"],
+                 ["--N", "7", "--n", "6", "--max-degree", "7", "--json"]):
+        assert run_command(["taft", *argv]).status == 0, argv

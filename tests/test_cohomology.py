@@ -70,22 +70,21 @@ def test_slice_twisted_composes_to_zero():
 
 
 def test_slice_check_catches_a_wrong_d0(monkeypatch):
-    # d0 is read off ad_phi; an image with the x-part off by a factor must
-    # trip the d1 . d0 = 0 check on plain and on twisted slices
+    # d0 is read off the words of ad_phi; doubling the words of its x-part
+    # (the words of degree l + 1, where no d1 word lands) must trip the
+    # d1 . d0 = 0 check on plain and on twisted slices
     from xnalg import cohomology
-    from xnalg.maps import GenDerivation
 
-    real = cohomology.ad_phi
+    real, l = cohomology.add_word, 3
 
-    def wrong(u, twist=None):
-        d = real(u, twist)
-        return GenDerivation(u.ctx, d.dx + d.dx, d.dy, twist)
+    def wrong(out, c, a, s, b, r, k):
+        real(out, 2 * c if a + b + k * (s + r) == l + 1 else c, a, s, b, r, k)
 
-    monkeypatch.setattr(cohomology, "ad_phi", wrong)
+    monkeypatch.setattr(cohomology, "add_word", wrong)
     fld = CycloField(2)
     for ctx, omega in ((AlgebraCtx(3), None), (AlgebraCtx(3, False, fld), fld.zeta)):
-        with pytest.raises(AssertionError):
-            build_slice(ctx, 3, omega)
+        with pytest.raises(AssertionError, match="the slice differentials do not compose to zero"):
+            build_slice(ctx, l, omega)
 
 
 def test_slice_and_residual_coefficients_are_field_scalars():
@@ -164,34 +163,35 @@ def test_slice_rows_match_the_product_chain_reference():
 
 
 def test_identity_twist_slices_take_the_integer_path(monkeypatch):
-    # omega = 1 is the untwisted complex: the slice is assembled from integer
-    # monomials without a twist and equals the untwisted slice; a genuine
-    # twist enters only through lam^k and phi(y), so its slice is assembled
-    # from integer monomials too, with the twist set
+    # omega = 1 is the untwisted complex: the slice is assembled from words
+    # of weight +-1 and equals the untwisted slice; a genuine twist enters
+    # only through lam^k and phi(y), as powers of the formal t, so its words
+    # carry int weights too
     from xnalg import cohomology
 
-    seen = []
-    real = cohomology.ad_phi
+    weights = []
+    real = cohomology.add_word
 
-    def spy(u, twist=None):
-        seen.append((twist, {type(c) for c in u.terms.values()}))
-        return real(u, twist)
+    def spy(out, c, *word):
+        weights.append(c)
+        real(out, c, *word)
 
-    monkeypatch.setattr(cohomology, "ad_phi", spy)
+    monkeypatch.setattr(cohomology, "add_word", spy)
     for field in (CycloField(1), CycloField(3)):
         ctx = AlgebraCtx(3, False, field)
         for l in (0, 5):
             twisted, plain = build_slice(ctx, l, field.one), build_slice(ctx, l)
             assert (twisted.d0, twisted.d1) == (plain.d0, plain.d1)
-    assert seen and all(twist is None and kinds == {int} for twist, kinds in seen)
+            assert (twisted.rows0, twisted.rows1) == (plain.rows0, plain.rows1)
+    assert weights and {type(c) for c in weights} == {int} and set(map(abs, weights)) == {1}
     f3 = CycloField(3)
     for field, omega in ((f3, f3.zeta), (CycloField(1), Fraction(2))):
         ctx = AlgebraCtx(3, False, field)
         for l in (0, 5):
-            seen.clear()
+            weights.clear()
             build_slice(ctx, l, omega)
-            assert seen and all(twist is not None and twist.lam == omega and kinds == {int}
-                                for twist, kinds in seen), (field, l)
+            assert weights and {type(c) for c in weights} == {int}, (field, l)
+            assert max(map(abs, weights)) > 1, (field, l)
 
 
 def test_twisted_slices_over_a_formal_twist_match_the_product_chain_reference():
@@ -243,32 +243,34 @@ def test_a_corrupted_t_coefficient_fails_the_check_in_z_t(monkeypatch):
 
     f3 = CycloField(3)
     ctx = AlgebraCtx(3, False, f3)
-    real_ad_phi, real_matrix = cohomology.ad_phi, cohomology._matrix
-    twists = []
+    real_add_word, real_matrix = cohomology.add_word, cohomology._matrix
+    weights, ts = [], []
 
-    def spy(u, twist=None):
-        twists.append(twist)
-        return real_ad_phi(u, twist)
+    def spy(out, c, *word):
+        weights.append(c)
+        real_add_word(out, c, *word)
 
     def corrupted(columns, bases):
         rows = real_matrix(columns, bases)
         if len(bases) == 2:  # d0, rows over basis1x then basis1y
-            t = twists[-1].lam_power(1)
+            t = -weights[1]  # the weight of d0's second word, -lam x u
+            ts.append(t)
             row = next(row for row in rows[row_index:] if row)
             row[next(iter(row))] += 1 + t + t * t
         return rows
 
-    monkeypatch.setattr(cohomology, "ad_phi", spy)
+    monkeypatch.setattr(cohomology, "add_word", spy)
     assert 1 + f3.zeta + f3.zeta ** 2 == f3.zero
     for l in (0, 2, 6):
         build_slice(ctx, l, f3.zeta)
         for row_index in (0, len(basis_of_degree(ctx, l + 1))):  # a dx row, a dy row
+            weights.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(cohomology, "_matrix", corrupted)
                 with pytest.raises(AssertionError,
                                    match="the slice differentials do not compose to zero"):
                     build_slice(ctx, l, f3.zeta)
-    assert all(type(twist.lam_power(1)) is int and twist.lam == f3.zeta for twist in twists)
+    assert len(ts) == 6 and all(type(t) is int and t > 1 and t & (t - 1) == 0 for t in ts)
 
 
 def test_unread_rows_are_compared_exactly(monkeypatch):
@@ -292,6 +294,50 @@ def test_unread_rows_are_compared_exactly(monkeypatch):
     monkeypatch.setattr(cohomology, "_matrix", corrupted)
     with pytest.raises(AssertionError, match="a d0 row disagrees with ad_phi"):
         build_slice(ctx, 2)
+
+
+def test_twisted_slices_read_every_d0_row_and_call_no_ad_phi(monkeypatch):
+    # with a twist every d1 column is nonzero in Z[t], so the d1 . d0 check
+    # reads every d0 row and none is compared with ad_phi, on both twist
+    # branches; an unread twisted row is a fault (exit 3), not compared with
+    # the untwisted ad_phi, while an untwisted one is compared
+    from xnalg import cohomology
+
+    calls = []
+    real_ad_phi, real_matrix = cohomology.ad_phi, cohomology._matrix
+
+    def spy(*args):
+        calls.append(args)
+        return real_ad_phi(*args)
+
+    monkeypatch.setattr(cohomology, "ad_phi", spy)
+    q, f3 = CycloField(1), CycloField(3)
+    branches, checked = set(), 0
+    for N in range(2, 8):
+        omegas = [(CycloField(n), CycloField(n).zeta) for n in sorted({2, 3, N - 1, N} - {1})]
+        for field, omega in omegas + [(q, Fraction(-2, 3)), (f3, f3.one + f3.zeta)]:
+            ctx = AlgebraCtx(N, False, field)
+            branches.add(omega ** (N - 1) == field.one)
+            for l in range(-N - 1, 2 * N + 4):
+                sl = build_slice(ctx, l, omega)
+                middle = len(sl.basis1x) + len(sl.basis1y)
+                assert {mid for row in sl.rows1 for mid in row} == set(range(middle)), (N, l)
+                checked += middle
+    assert calls == [] and branches == {True, False} and checked > 2500
+
+    def unread(columns, bases):  # a d1 that reads no d0 row
+        rows = real_matrix(columns, bases)
+        return [{} for _ in rows] if len(bases) == 1 else rows
+
+    monkeypatch.setattr(cohomology, "_matrix", unread)
+    build_slice(AlgebraCtx(3, False, f3), 4)
+    assert calls
+    calls.clear()
+    with pytest.raises(AssertionError, match="a d0 row of a twisted slice escapes the d1 . d0 check"):
+        build_slice(AlgebraCtx(3, False, f3), 4, f3.zeta)
+    result = run_command(["hh", "--N", "3", "--twist-order", "3", "--from", "4", "--to", "4"])
+    assert result.status == 3 and "escapes the d1 . d0 check" in result.text
+    assert calls == []
 
 
 def test_operations_over_q_return_fraction_coefficients():
@@ -1110,7 +1156,7 @@ def test_a_fault_in_one_d1_word_fails_the_check(monkeypatch):
 
     def faulty(out, c, a, s, b, r, k):
         real(out, c, a, s, b, r, k)
-        if not words:
+        if len(words) == first:
             out[(a + b, s + r)] += 1
         words.append((a, s, b, r))
 
@@ -1120,13 +1166,14 @@ def test_a_fault_in_one_d1_word_fails_the_check(monkeypatch):
         for l in (ctx.N - 1, 6):
             sl = build_slice(ctx, l, omega)
             assert sl.rows0[0], (ctx, l)  # d0 reaches the faulted column
+            first = 4 * len(sl.basis0)  # d0's words come first, four per monomial
             words.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(cohomology, "add_word", faulty)
                 with pytest.raises(AssertionError,
                                    match="the slice differentials do not compose to zero"):
                     build_slice(ctx, l, omega)
-            assert words[0] == (0, 1, l + 1, 0)
+            assert words[first] == (0, 1, l + 1, 0)
 
 
 def test_plain_slices_rank_their_integer_rows_and_read_fractions_once(monkeypatch):
@@ -1162,12 +1209,36 @@ def test_plain_slices_rank_their_integer_rows_and_read_fractions_once(monkeypatc
             assert sl.d0 is d0 and sl.d1 is d1 and built == []
             assert sl.dims() == dims
             assert dims == tuple(expected_hh_dim(N, p, l, None) for p in (0, 1, 2))
-    # twisted slices and slices over Q(zeta_n) keep field rows, ranked as read
+    # every slice keeps its integer rows.  Untwisted over Q(zeta_3), dims()
+    # ranks them and builds no CycloScalar; twisted, it ranks the field rows,
+    # read once at omega and kept
     f3 = CycloField(3)
-    for ctx, omega in ((AlgebraCtx(3, False, f3), None), (AlgebraCtx(3, False, f3), f3.zeta),
-                       (AlgebraCtx(3), Fraction(-2, 3))):
+    made = []
+    real_init = CycloScalar.__init__
+
+    def counted(self, *args):
+        made.append(args)
+        real_init(self, *args)
+
+    monkeypatch.setattr(CycloScalar, "__init__", counted)
+    ctx = AlgebraCtx(3, False, f3)
+    for l in (-3, 0, 4, 10):
+        sl = build_slice(ctx, l)
+        made.clear()
+        assert sl.dims() == tuple(expected_hh_dim(3, p, l, None) for p in (0, 1, 2)), l
+        assert made == [], l
+        for row in (*sl.rows0, *sl.rows1):
+            assert all(type(c) is int for c in row.values())
+        assert (sl.d0, sl.d1) == _reference_slice(ctx, l, None), l
+    for ctx, omega in ((AlgebraCtx(3, False, f3), f3.zeta), (AlgebraCtx(3), Fraction(-2, 3))):
         sl = build_slice(ctx, 4, omega)
-        assert sl.rows0 is sl.d0 and sl.rows1 is sl.d1
+        for row in (*sl.rows0, *sl.rows1):
+            assert all(type(c) is int for c in row.values())
+        d0, d1 = sl.d0, sl.d1
+        dims = sl.dims()
+        assert sl.d0 is d0 and sl.d1 is d1 and sl.dims() == dims
+        assert (d0, d1) == _reference_slice(ctx, 4, Automorphism.diagonal(ctx, omega))
+        assert (d0, d1) != (sl.rows0, sl.rows1)
 
 
 def test_hh_n_budget_refuses_before_any_slice(monkeypatch):
@@ -1180,3 +1251,11 @@ def test_hh_n_budget_refuses_before_any_slice(monkeypatch):
         with pytest.raises(ValueError, match=rf"^N = {ctx.N} is above the hh budget of 100$"):
             hh_profile(ctx, 0, 1, omega)
     assert cohomology.MAX_HH_N == 100
+
+
+def test_taft_obstruction_checks_up_to_degree_6_by_default():
+    # degrees 0..6 at N = 3 hold 1, 1, 2, 2, 3, 3, 4 monomials
+    report = taft_obstruction(3, 2)
+    assert report.checked_monomials == 16 and report.ok
+    assert report == taft_obstruction(3, 2, 6)
+    assert taft_obstruction(4, 3).checked_monomials == 1 + 1 + 1 + 2 + 2 + 2 + 3

@@ -70,7 +70,7 @@ def _check(rows, rhs, ncols, field):
     before = [dict(row) for row in rows]
     full = dense(rows, ncols, field.zero)
     assert linalg.rank(rows, ncols) == column_rank(full, ncols)
-    got = linalg.solve(rows, rhs, ncols, field)
+    got = linalg.solve(linalg.factor(rows, ncols), rhs, ncols, field)
     assert got == solve(full, rhs, ncols, field)
     assert rows == before
     if got is not None:
@@ -100,8 +100,8 @@ def test_empty_and_zero_systems():
     for field in FIELDS:
         zero, one = field.zero, field.one
         assert linalg.rank([], 0) == 0 and linalg.rank([], 4) == 0
-        assert linalg.solve([], [], 0, field) == []
-        assert linalg.solve([], [], 3, field) == [zero] * 3
+        assert linalg.solve(linalg.factor([], 0), [], 0, field) == []
+        assert linalg.solve(linalg.factor([], 3), [], 3, field) == [zero] * 3
         assert _check([{}, {}], [zero, zero], 3, field) == [zero] * 3
         assert _check([{}, {}], [zero, one], 3, field) is None
         assert _check([{0: one}], [one], 0, field) is None

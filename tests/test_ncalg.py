@@ -528,3 +528,42 @@ def test_product_cost_covers_the_words_and_refuses_before_the_product(monkeypatc
     assert ncalg.product(ctx.zero(), big) == ctx.zero()
     assert ncalg.product(ctx.y(3), ctx.x(2)) == ctx.y(3) * ctx.x(2)
     assert len(products) == 3
+
+
+def test_power_cost_counts_the_rewrite_bits_of_the_base():
+    # a = x y^2 + x at N = 3, k = 10: terms 2559 (p = 4, q = 2, n = 9), words
+    # 2 * 3, and bits 10 (0 + 1 + 2 (log2(10 (1 + 2 * 2) + 1) + 1)) = 10 (1 + 14)
+    # = 150, so the cost is 6 * 2559 * (1000^2 + 150^2) // 1000^2
+    ctx = AlgebraCtx(3)
+    a = ctx.monomial(1, 2) + ctx.x()
+    assert ncalg._power_cost(a, 10) == 6 * 2559 * (1000**2 + 150**2) // 1000**2 == 15699
+    # a base without y rewrites nothing: x^2 + x has terms 45 + 9, words 2 and
+    # bits 10 (0 + 1), with no rewrite bits
+    assert ncalg._power_cost(ctx.x(2) + ctx.x(), 10) == 2 * 54 * (1000**2 + 10**2) // 1000**2
+
+
+def test_budgets_refuse_past_their_edge_and_exempt_scalars(monkeypatch):
+    # a cost at the budget is accepted and one unit above it is refused, for
+    # the product and the power estimate alike
+    ctx = AlgebraCtx(3)
+    a, b = ctx.monomial(1, 2) + ctx.x(), ctx.x() + ctx.y()
+    expected = normalize_product(a, b)
+    cost = ncalg._product_cost(a, b)
+    monkeypatch.setattr(ncalg, "MAX_POWER_COST", cost)
+    assert ncalg.product(a, b) == expected
+    monkeypatch.setattr(ncalg, "MAX_POWER_COST", cost - 1)
+    with pytest.raises(ValueError, match=rf"estimated cost of {cost}, above the product budget of {cost - 1}$"):
+        ncalg.product(a, b)
+    cost = ncalg._power_cost(a, 10)
+    monkeypatch.setattr(ncalg, "MAX_POWER_COST", cost)
+    assert power(a, 10) == repeated_squaring(a, 10, ctx.one())
+    monkeypatch.setattr(ncalg, "MAX_POWER_COST", cost - 1)
+    with pytest.raises(ValueError, match=rf"estimated cost of {cost}, above the power budget of {cost - 1}$"):
+        power(a, 10)
+    # a scalar or zero factor multiplies even with no budget left
+    monkeypatch.setattr(ncalg, "MAX_POWER_COST", 0)
+    three = ctx.scalar(3)
+    assert ncalg.product(three, b) == ncalg.product(b, three) == b + b + b
+    assert ncalg.product(ctx.zero(), b) == ncalg.product(b, ctx.zero()) == ctx.zero()
+    with pytest.raises(ValueError, match=r"above the product budget of 0$"):
+        ncalg.product(three + ctx.x(), b)

@@ -35,10 +35,10 @@ def decompose_degree(l: int, N: int):
 class Automorphism:
     """The automorphism x -> lam x, y -> lam^{N-1} y + f(x).
 
-    Instances are immutable, so the image of y and the powers of lam are
+    Instances are immutable, so the powers of lam and of the image of y are
     computed once per instance and reused."""
 
-    __slots__ = ("ctx", "lam", "f", "_y_image", "_lam_powers")
+    __slots__ = ("ctx", "lam", "f", "_lam_powers", "_y_powers")
 
     def __init__(self, ctx: AlgebraCtx, lam, f=()):
         lam = ctx.coerce(lam)
@@ -50,8 +50,8 @@ class Automorphism:
         self.ctx = ctx
         self.lam = lam
         self.f = tuple(coeffs)
-        self._y_image = None
         self._lam_powers = {}
+        self._y_powers = {}
 
     @classmethod
     def identity(cls, ctx):
@@ -86,10 +86,7 @@ class Automorphism:
         return self.ctx.monomial(1, 0, self.lam)
 
     def y_image(self) -> Element:
-        if self._y_image is None:
-            img = self.ctx.monomial(0, 1, self.lam_power(self.ctx.N - 1))
-            self._y_image = img + self.f_element()
-        return self._y_image
+        return self.y_power(1)
 
     def lam_power(self, k: int):
         """lam^k for any integer k."""
@@ -98,24 +95,29 @@ class Automorphism:
             power = self._lam_powers[k] = self.lam ** k
         return power
 
+    def y_power(self, j: int) -> Element:
+        """phi(y)^j for j >= 0, one product per power not built before."""
+        powers = self._y_powers
+        if not powers:
+            y = self.ctx.monomial(0, 1, self.lam_power(self.ctx.N - 1))
+            powers.update({0: self.ctx.one(), 1: y + self.f_element()})
+        for m in range(len(powers), j + 1):
+            powers[m] = powers[m - 1] * powers[1]
+        return powers[j]
+
     def apply(self, a: Element) -> Element:
         """Image of an element: multiplicative extension of the generator
         images, renormalized.  In a localized context x^{-1} -> lam^{-1} x^{-1}.
         The image of x^i y^j is lam^i x^i phi(y)^j, a shift of phi(y)^j."""
         if a.ctx != self.ctx and a.ctx != self.ctx.localize():
             raise CtxMismatchError(f"{a.ctx!r} vs {self.ctx!r}")
-        ctx = a.ctx
-        k = ctx.N - 1
-        lam_power, y_img = _twist_images(ctx, self)
-        ypow = [ctx.one()]
+        k = self.ctx.N - 1
         out: dict = {}
         for (i, j), c in a.terms.items():
-            while len(ypow) <= j:
-                ypow.append(ypow[-1] * y_img)
-            ci = c * lam_power(i)
-            for (u, v), g in ypow[j].terms.items():
+            ci = c * self.lam_power(i)
+            for (u, v), g in self.y_power(j).terms.items():
                 add_word(out, ci * g, i, 0, u, v, k)
-        return Element(ctx, out)
+        return Element(a.ctx, out)
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         """self after other: x -> self(other(x)).  Matches the parameter-pair
@@ -217,17 +219,14 @@ def exp_lnd(ctx: AlgebraCtx, g, t) -> Automorphism:
     return Automorphism(ctx, 1, [t * ctx.coerce(c) for c in g])
 
 
-def _twist_images(ctx: AlgebraCtx, twist: Automorphism | None):
-    """(k -> lam^k, phi(y)) of the twist, or (k -> 1, y) without one; phi(y)
-    is rebased onto `ctx`, which may be the localization of the twist's
-    context.  Without a twist the unit is the integer 1, so integer inputs
-    stay integers and field-scalar inputs keep their type."""
+def _twist_images(twist: Automorphism | None):
+    """(k -> lam^k, j -> terms of phi(y)^j) of the twist, or (k -> 1, j -> y^j)
+    without one; the terms serve the localized context too.  Without a twist
+    the unit is the integer 1, so integer inputs stay integers and
+    field-scalar inputs keep their type."""
     if twist is None:
-        return (lambda k: 1), Element(ctx, {(0, 1): 1})
-    phi_y = twist.y_image()
-    if phi_y.ctx != ctx:
-        phi_y = Element(ctx, phi_y.terms)
-    return twist.lam_power, phi_y
+        return (lambda k: 1), (lambda j: {(0, j): 1})
+    return twist.lam_power, (lambda j: twist.y_power(j).terms)
 
 
 def relation_residual(dx: Element, dy: Element, twist: Automorphism | None = None) -> Element:
@@ -241,8 +240,8 @@ def relation_residual(dx: Element, dy: Element, twist: Automorphism | None = Non
     ctx = dx.ctx
     N = ctx.N
     k = N - 1
-    lam_power, phi_y = _twist_images(ctx, twist)
-    out = dict((phi_y * dx).terms)
+    lam_power, phi_y = _twist_images(twist)
+    out = dict((Element(ctx, phi_y(1)) * dx).terms)
     for (i, j), c in dy.terms.items():
         add_word(out, c, i, j, 1, 0, k)
         add_word(out, -(lam_power(1) * c), 1, 0, i, j, k)
@@ -309,13 +308,14 @@ class GenDerivation:
     def apply(self, a: Element) -> Element:
         """Value on an element, via the twisted Leibniz rule on monomials:
 
-            d(x^i y^j) = sum_{s<i} lam^s x^s dx x^{i-1-s} y^j          (i > 0)
-                       - sum_{s<-i} lam^{-s-1} x^{-s-1} dx x^{i+s} y^j  (i < 0)
+            d(x^i y^j) = sum_{0<=s<i} lam^s x^s dx x^{i-1-s} y^j    (i > 0)
+                       - sum_{i<=s<0} lam^s x^s dx x^{i-1-s} y^j    (i < 0)
                        + lam^i x^i sum_{s<j} phi(y)^s dy y^{j-1-s},
 
         the negative exponents by the forced rule
         d(x^{-1}) = -phi(x^{-1}) d(x) x^{-1}.  Every word goes through
-        `add_word` into one table; only the powers of phi(y) are products.
+        `add_word` into one table; the powers of phi(y) are the twist's
+        (`Automorphism.y_power`), so only a new power is a product.
         Untwisted over Q, the loop runs on integer numerators (the images' kept
         over one denominator) and one Fraction is built per output coefficient."""
         self._demand()
@@ -323,7 +323,7 @@ class GenDerivation:
         if a.ctx != ctx:
             raise CtxMismatchError(f"{a.ctx!r} vs {ctx!r}")
         k = ctx.N - 1
-        lam_power, phi_y = _twist_images(ctx, self.twist)
+        lam_power, phi_y = _twist_images(self.twist)
         if self._images is None:
             dx, dy, den = self.dx.terms, self.dy.terms, None
             if self.twist is None and ctx.field == CycloField(1):
@@ -335,23 +335,18 @@ class GenDerivation:
         if den is not None:
             nums, den_a = numerators(terms.values())
             terms, den = dict(zip(terms, nums)), den * den_a
-        phi_ypow = [Element(ctx, {(0, 0): 1})]
         out: dict = {}
         for (i, j), c in terms.items():
-            for s in range(i):
-                cs = c * lam_power(s)
+            # the sign for i < 0 is that of d(x^-1) = -phi(x^-1) d(x) x^-1
+            cx, lo, hi = (c, 0, i) if i > 0 else (-c, i, 0)
+            for s in range(lo, hi):
+                cs = cx * lam_power(s)
                 for (p, q), e in dx:
                     add_word(out, cs * e, s + p, q, i - 1 - s, j, k)
-            for s in range(-i):
-                cs = -(c * lam_power(-s - 1))
-                for (p, q), e in dx:
-                    add_word(out, cs * e, p - s - 1, q, i + s, j, k)
             if j > 0:
-                while len(phi_ypow) < j:
-                    phi_ypow.append(phi_ypow[-1] * phi_y)
                 ci = c * lam_power(i)
                 for s in range(j):
-                    for (u, v), g in phi_ypow[s].terms.items():
+                    for (u, v), g in phi_y(s).items():
                         cg = ci * g
                         for (p, q), e in dy:
                             add_word(out, cg * e, i + u, v, p, q + j - 1 - s, k)
@@ -449,10 +444,10 @@ def ad_phi(u: Element, twist: Automorphism | None = None) -> GenDerivation:
     a word added by `add_word` into one coefficient table per image."""
     ctx = u.ctx
     k = ctx.N - 1
-    lam_power, phi_y = _twist_images(ctx, twist)
+    lam_power, phi_y = _twist_images(twist)
     lam = lam_power(1)
     dx: dict = {}
-    dy = dict((-(phi_y * u)).terms)
+    dy = dict((-(Element(ctx, phi_y(1)) * u)).terms)
     for (i, j), c in u.terms.items():
         add_word(dx, c, i, j, 1, 0, k)
         add_word(dx, -(lam * c), 1, 0, i, j, k)

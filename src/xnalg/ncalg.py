@@ -30,7 +30,7 @@ from .scalars import (
     scalar_from_json,
     scalar_to_json,
 )
-from .sequences import MAX_C_INDEX, c_eval, laguerre_poly, pochhammer_k
+from .sequences import MAX_C_INDEX, c_eval, laguerre_poly
 
 
 # the scalar types some coefficient ring accepts; anything else leaves the
@@ -142,19 +142,13 @@ def comm_move_left(i: int, j: int, N: int):
 def comm_move_right(i: int, j: int, N: int):
     """Rewrite x^i y^j as a combination of words x^a y^t x^i.
 
-    Returns a list of (coeff, a, t); the trailing factor x^i is implicit.
-    The coefficient of x^{mk} y^{j-m} x^i (k = N - 1) is the integer
-    Pochhammer symbol (-i)_{k, m} = (-i)(-i+k)...(-i+(m-1)k) times
-    binom(j, m).
+    Returns a list of (coeff, a, t) by ascending t; the trailing factor x^i
+    is implicit.  These are the words of x^i (y^j x^{-i}), so of
+    `comm_move_left(-i, j, N)` shifted by x^i: the coefficient of
+    x^{mk} y^{j-m} x^i (k = N - 1) is the integer Pochhammer symbol
+    (-i)_{k, m} = (-i)(-i+k)...(-i+(m-1)k) times binom(j, m).
     """
-    k = N - 1
-    out = []
-    for t in range(j + 1):
-        m = j - t
-        c = math.comb(j, t) * pochhammer_k(-i, k, m)
-        if c:
-            out.append((c, m * k, t))
-    return out
+    return [(c, a + i, t) for c, a, t in comm_move_left(-i, j, N)]
 
 
 class Element:

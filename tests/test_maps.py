@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from xnalg import ncalg
 from xnalg.maps import (
     Automorphism,
     GenDerivation,
@@ -57,6 +58,52 @@ def test_aut_apply_localized():
     loc = ctx.localize()
     phi = Automorphism.diagonal(ctx, Fraction(2))
     assert phi.apply(loc.x(-1)) == loc.monomial(-1, 0, Fraction(1, 2))
+
+
+def _count_products(monkeypatch):
+    """Record every normal-form product of two elements from here on."""
+    calls = []
+    real = ncalg.normalize_product
+    monkeypatch.setattr(ncalg, "normalize_product", lambda a, b: calls.append(1) or real(a, b))
+    return calls
+
+
+def test_y_power_matches_product_chain():
+    for field in (CycloField(1), CycloField(3)):
+        ctx = AlgebraCtx(3, False, field)
+        shear = Automorphism.shear(ctx, [1, Fraction(-1, 2), 2])
+        phi_y = shear.y_image()
+        assert phi_y == ctx.y() + ctx.one() - ctx.monomial(1, 0, Fraction(1, 2)) + ctx.x(2) * 2
+        chain = ctx.one()
+        for j in range(7):
+            assert shear.y_power(j) == chain, (field, j)
+            chain = chain * phi_y
+
+
+def test_aut_apply_reuses_its_powers(monkeypatch):
+    # a second apply with the same automorphism builds no power of phi(y)
+    ctx = AlgebraCtx(3)
+    aut = Automorphism(ctx, Fraction(2), [1, 3])
+    a = ctx.monomial(1, 4) - ctx.monomial(2, 1)
+    b = Element(ctx.localize(), {(-2, 3): Fraction(5, 2), (0, 2): 1})
+    expected = [aut.apply(a), aut.apply(b)]
+    calls = _count_products(monkeypatch)
+    assert [aut.apply(a), aut.apply(b)] == expected
+    assert calls == []
+
+
+def test_untwisted_apply_makes_no_product(monkeypatch):
+    # without a twist the powers of y are single words, so apply adds words
+    # only, on plain and on localized operands
+    ctx = AlgebraCtx(3)
+    d = partial_l(ctx, 2)
+    wide = d.extend_localized()
+    cases = [(d, ctx.monomial(2, 3)), (wide, wide.ctx.monomial(-2, 3))]
+    expected = [product_chain_apply(*case) for case in cases]
+    assert d.well_defined() and wide.well_defined()
+    calls = _count_products(monkeypatch)
+    assert [e.apply(a) for e, a in cases] == expected
+    assert calls == []
 
 
 def test_compose_matches_pair_law():
@@ -405,6 +452,10 @@ def test_apply_against_product_chain():
                 reused += bool(got)
             else:
                 nonzero += bool(got)
+        # and x^-2 y^3 under the localized derivation, whose twist is
+        # unlocalized; kept out of the counts above
+        d, a = uses[-1][0], loc.monomial(-2, 3)
+        assert d.apply(a) == product_chain_apply(d, a), (d, a)
     assert nonzero > 100
     assert reused > 270
 

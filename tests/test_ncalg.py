@@ -25,6 +25,7 @@ from xnalg.ncalg import (
     render_element,
 )
 from xnalg.scalars import CycloField, QPoly, repeated_squaring
+from xnalg.sequences import pochhammer_k
 
 from oracles import brute_normalize, monomial_word, nullspace
 from polys import PolyRing
@@ -128,6 +129,21 @@ def test_move_back_round_trip():
                         total[key] = total.get(key, 0) + c * c2
                 total = {k: v for k, v in total.items() if v}
                 assert total == {(i, j): 1}, (N, i, j)
+
+
+def test_comm_move_right_against_pochhammer():
+    # independent of add_word: x^i y^j = sum_t binom(j, t) (-i)_{N-1, j-t}
+    # x^{(j-t)(N-1)} y^t x^i, also for negative i and N <= 1, which the round
+    # trip above does not reach
+    for N in range(6):
+        for i in range(-6, 7):
+            for j in range(7):
+                expected = []
+                for t in range(j + 1):
+                    c = math.comb(j, t) * pochhammer_k(-i, N - 1, j - t)
+                    if c:
+                        expected.append((c, (j - t) * (N - 1), t))
+                assert comm_move_right(i, j, N) == expected, (N, i, j)
 
 
 def test_associativity_randomized():

@@ -271,3 +271,10 @@ def test_falling_binomial_matches_comb():
     for top in range(8):
         for m in range(8):
             assert falling_binomial(Fraction(top), m) == math.comb(top, m) if m <= top else True
+
+
+def test_falling_binomial_is_a_fraction():
+    # the empty product at m = 0 must not turn into a float
+    for m in range(4):
+        assert type(falling_binomial(Fraction(7, 3), m)) is Fraction, m
+    assert falling_binomial(Fraction(7, 3), 0) == 1
